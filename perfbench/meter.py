@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import statistics
 import time
 import traceback
 
@@ -56,17 +57,18 @@ class Meter:
         return out
 
 
-def best_rate(meters: list[Meter]) -> float:
-    """Work per second, each operation timed by its fastest round.
+def median_rate(meters: list[Meter]) -> float:
+    """Work per second: the median over rounds of a round's work divided
+    by the summed time of its operations.
 
-    Every round runs the same operations in the same order, so they line
-    up by position.  Taking each one's fastest time, as ``timeit`` does,
-    keeps time lost to other processes on a shared machine out of the
-    figure as far as the run allows.
+    Every round runs the same operations, so each round is one sample of
+    the same quantity.  A median, unlike a fastest time, does not drift
+    with the number of rounds a run holds: a run of one long round and a
+    run of ten short ones estimate the same figure.
     """
     first = [(g, w) for g, w, _, _ in meters[0].records]
     for m in meters[1:]:
         if [(g, w) for g, w, _, _ in m.records] != first:
             raise ValueError("rounds ran different operations")
-    best = [min(dts) for dts in zip(*([r[2] for r in m.records] for m in meters))]
-    return sum(w for _, w in first) / sum(best)
+    work = sum(w for _, w in first)
+    return statistics.median(work / sum(r[2] for r in m.records) for m in meters)

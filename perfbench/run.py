@@ -1,35 +1,40 @@
 """Benchmark of relalg's game verifiers, one workload per run.
 
-    python3 perfbench/run.py --workload netgame --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload netgame --seed 1 --seconds 30 --trace 0
 
-A run sets the workload up several times (the median is ``setup_s``),
-then runs rounds of the workload's fixed list of verifications, one
-after another in this one process, until the next round would end past
-``--seconds``.  Every verdict is checked as it comes back.  With
+A run repeats steps until the next step would end past ``--seconds``.
+A step sets the workload up until set-up has taken SETUP_SHARE of the
+rounds' time so far, then runs one round of the workload's fixed list
+of verifications, one after another in this one process, on the first
+set-up's result.  Every verdict is checked as it comes back.  With
 ``--trace 0`` the last line of output is a JSON object with the
-end-to-end metrics; with ``--trace 1`` untraced and traced rounds
-alternate and the per-layer metrics are reported instead (see
-README.md).  relalg is imported from ``src/`` next to this directory.
+end-to-end metrics: ``setup_s`` is the median set-up pass and
+``work_per_s`` the median round's work per second.  With ``--trace 1``
+each step also sets up and runs a round with tracing on, and the
+per-layer metrics are reported instead (see README.md).  relalg is
+imported from ``src/`` next to this directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import resource
 import statistics
 import sys
 import time
+from array import array
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import spans
-from meter import Meter, best_rate
+from meter import Meter, median_rate
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-# set up at least SETUP_REPEATS times and for at least SETUP_SECONDS
-SETUP_REPEATS, SETUP_SECONDS = 5, 3.0
+SETUP_SHARE = 0.25  # set-up passes take this share of the rounds' time
 KERNEL_SIZES = ((10, 2, 2), (16, 8, 2), (64, 11, 7))  # (atoms, s, t)
 KERNEL_PAIRS, KERNEL_REPEATS = 1000, 5
 END_TO_END = {"setup_s": "s", "work_per_s": "work/s"}
@@ -47,49 +52,81 @@ def import_relalg():
         sys.exit(f"perfbench: relalg came from {relalg.__file__}, not {src}")
 
 
-def timed_setup(setup, seed: int):
-    """Set up repeatedly; (median seconds, last result)."""
-    times: list[float] = []
-    while len(times) < SETUP_REPEATS or sum(times) < SETUP_SECONDS:
+@dataclass
+class Steps:
+    ctx: object = None  # the first set-up's result, which every round uses
+    setup_times: array = field(default_factory=lambda: array("d"))
+    setup_spent: float = 0.0  # seconds of untraced set-up passes
+    round_spent: float = 0.0  # seconds of untraced rounds
+    plain: list = field(default_factory=list)  # (Meter, wall s) per round
+    traced: list = field(default_factory=list)  # (Meter, wall s, span table)
+    setup_spans: list = field(default_factory=list)  # span table per set-up
+
+    @property
+    def setup_due(self) -> bool:
+        """Set-up has not yet taken SETUP_SHARE of the rounds' time, or
+        has not run at all."""
+        return not self.setup_times or self.setup_spent < SETUP_SHARE * self.round_spent
+
+
+def set_up(setup, seed: int, steps: Steps) -> None:
+    """Time set-up passes, from a swept heap, while they are due."""
+    if not steps.setup_due:
+        return
+    gc.collect()
+    while steps.setup_due:
         t0 = time.perf_counter()
         ctx = setup(seed)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times), ctx
+        dt = time.perf_counter() - t0
+        steps.setup_times.append(dt)
+        steps.setup_spent += dt
+        if steps.ctx is None:
+            steps.ctx = ctx
+        ctx = None  # the next pass starts without this one's result
 
 
-def run_rounds(round_fn, ctx, seconds: float, tracer=None):
-    """Rounds until the next would end past ``seconds``; at least one.
+def run_steps(setup, round_fn, seed: int, seconds: float, tracer=None) -> Steps:
+    """Steps until the next would end past ``seconds``; at least one.
 
-    With a tracer, each step is an untraced round followed by a traced
-    one.  Returns a list of (untraced Meter, wall s) and one of
-    (traced Meter, wall s, span table of the round).
+    A step sets up (:func:`set_up`) and runs one untraced round, so
+    set-up passes and rounds are sampled across the whole run; set-up is
+    topped up once more after the last round.  With a tracer, a step then
+    sets up once more and runs one more round, both traced.
     """
-    plain, traced = [], []
+    out = Steps()
     t_start = time.perf_counter()
     step_max = 0.0
     while True:
         t0 = time.perf_counter()
+        set_up(setup, seed, out)
+        t1 = time.perf_counter()
         m = Meter()
-        round_fn(ctx, m.op, spans.OFF)
-        plain.append((m, time.perf_counter() - t0))
+        round_fn(out.ctx, m.op, spans.OFF)
+        dt = time.perf_counter() - t1
+        out.plain.append((m, dt))
+        out.round_spent += dt
         if tracer is not None:
-            tracer.reset_table()
-            t1 = time.perf_counter()
-            m = Meter()
-
-            def op(group, thunk, check, m=m):
-                tracer.context = group
-                return m.op(group, thunk, check)
-
             install(tracer)
             try:
-                round_fn(ctx, op, tracer)
+                tracer.reset_table()
+                setup(seed)
+                out.setup_spans.append(tracer.table())
+                tracer.reset_table()
+                t1 = time.perf_counter()
+                m = Meter()
+
+                def op(group, thunk, check, m=m):
+                    tracer.context = group
+                    return m.op(group, thunk, check)
+
+                round_fn(out.ctx, op, tracer)
+                out.traced.append((m, time.perf_counter() - t1, tracer.table()))
             finally:
                 tracer.unpatch()
-            traced.append((m, time.perf_counter() - t1, tracer.table()))
         step_max = max(step_max, time.perf_counter() - t0)
         if time.perf_counter() - t_start + step_max > seconds:
-            return plain, traced
+            set_up(setup, seed, out)
+            return out
 
 
 def install(tracer) -> None:
@@ -210,11 +247,11 @@ def per_layer_names() -> dict[str, str]:
     return out
 
 
-def per_layer(tracer, setup_spans, traced, plain, kernel) -> dict[str, float]:
+def per_layer(tracer, steps: Steps, kernel) -> dict[str, float]:
     """The per-layer metrics: per-round means over the traced rounds."""
-    n = len(traced)
+    n = len(steps.traced)
     rows: dict[str, dict[str, float]] = {}
-    for _, _, table in traced:
+    for _, _, table in steps.traced:
         for name, row in table.items():
             acc = rows.setdefault(name, {"calls": 0, "total_s": 0.0, "self_s": 0.0})
             for key in acc:
@@ -234,15 +271,15 @@ def per_layer(tracer, setup_spans, traced, plain, kernel) -> dict[str, float]:
         out[metric] = rows.get(layer, empty)["total_s"] / n
     for metric, layer in SETUP_TOTAL.items():
         out[metric] = statistics.median(
-            tbl.get(layer, empty)["total_s"] for tbl in setup_spans
+            tbl.get(layer, empty)["total_s"] for tbl in steps.setup_spans
         )
     out.update(kernel)
     responses = rows.get("networks.rainbow_exists_strategy", empty)["calls"]
     states = tracer.counters.get("networks.exists_states", 0)
     out["networks.new_state_ratio"] = states / responses if responses else 0.0
     out["trace.overhead_s"] = (
-        statistics.median(wall for _, wall, _ in traced)
-        - statistics.median(wall for _, wall in plain)
+        statistics.median(wall for _, wall, _ in steps.traced)
+        - statistics.median(wall for _, wall in steps.plain)
     )
     return {name: out[name] for name in per_layer_names()}
 
@@ -282,27 +319,18 @@ def main(argv=None) -> int:
                  f"choose from {', '.join(workloads.WORKLOADS)}")
     setup, round_fn = workloads.WORKLOADS[args.workload]
 
+    tracer = spans.Tracer() if args.trace else None
+    steps = run_steps(setup, round_fn, args.seed, args.seconds, tracer)
+    meters = [m for m, _ in steps.plain]
+    print(f"{len(meters)} rounds, {len(steps.setup_times)} set-up passes")
     if not args.trace:
-        setup_s, ctx = timed_setup(setup, args.seed)
-        plain, _ = run_rounds(round_fn, ctx, args.seconds)
-        meters = [m for m, _ in plain]
-        metrics = {"setup_s": setup_s, "work_per_s": best_rate(meters)}
+        metrics = {"setup_s": statistics.median(steps.setup_times),
+                   "work_per_s": median_rate(meters)}
         print(report(meters, metrics, END_TO_END))
         return 0
 
-    tracer = spans.Tracer()
-    setup_spans = []
-    for _ in range(SETUP_REPEATS):
-        tracer.reset_table()
-        install(tracer)
-        try:
-            ctx = setup(args.seed)
-        finally:
-            tracer.unpatch()
-        setup_spans.append(tracer.table())
-    plain, traced = run_rounds(round_fn, ctx, args.seconds, tracer)
     kernel = kernel_ns(args.seed)
-    metrics = per_layer(tracer, setup_spans, traced, plain, kernel)
+    metrics = per_layer(tracer, steps, kernel)
     out_dir = HERE / "results"
     out_dir.mkdir(exist_ok=True)
     stem = f"{args.workload}-seed{args.seed}"
@@ -312,14 +340,15 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "spans_kept": len(tracer.start),
         "spans_dropped": tracer.dropped,
-        "traced_rounds": len(traced),
+        "rounds": len(steps.plain),
+        "setup_passes": len(steps.setup_times),
         "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "counters": tracer.counters,
         "ops": {g: {"ops": r[0], "failed": r[1], "work": r[2], "seconds": r[3]}
-                for g, r in plain[0][0].groups().items()},
+                for g, r in meters[0].groups().items()},
     }
     (out_dir / f"reference-{stem}.json").write_text(json.dumps(reference, indent=1))
-    meters = [m for m, _ in plain] + [m for m, _, _ in traced]
+    meters += [m for m, _, _ in steps.traced]
     print(report(meters, metrics, per_layer_names()))
     return 0
 

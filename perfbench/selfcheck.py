@@ -17,7 +17,7 @@ from types import SimpleNamespace as R
 
 import run
 import spans
-from meter import KnownFault, Meter, best_rate
+from meter import KnownFault, Meter, median_rate
 
 failures: list[str] = []
 
@@ -56,9 +56,20 @@ def check_oracles() -> None:
            is not None, "counterexample without no injection fails")
     expect(fail(R(status="verified", states=9, transcript=[]))[1] is not None,
            "verified with s > t fails")
-    expect(workloads._refute_check(R(status="verified", states=4,
-                                     transcript=["by pigeonhole"]))[1] is None,
-           "refutation citing pigeonhole passes")
+    refute = workloads._refute_check(3)
+    expect(refute(R(status="verified", states=4, transcript=["by pigeonhole"]))[1]
+           is None, "refutation citing pigeonhole passes")
+    expect(refute(R(status="verified", states=2, transcript=["by pigeonhole"]))[1]
+           is not None, "refutation with fewer than s states fails")
+
+    lose = workloads._pebble_check(3, 2)
+    ok_line, breach = "round 0 | ... | ok", "round 1 | ... | breach: edge"
+    expect(lose(R(status="counterexample", transcript=[ok_line, breach]))[1] is None,
+           "pebble counterexample ending in a breach passes")
+    expect(lose(R(status="counterexample", transcript=[ok_line, ok_line]))[1]
+           is not None, "pebble counterexample ending in ok fails")
+    expect(lose(R(status="counterexample", transcript=[breach, breach]))[1]
+           is not None, "pebble counterexample breached early fails")
 
     m = Meter()
     m.op("g", lambda: 1, lambda r: (r, KnownFault("known")))
@@ -67,11 +78,12 @@ def check_oracles() -> None:
     expect((m.attempted, m.failed, len(m.problems)) == (3, 3, 2),
            "meter counts known faults as failed but not as problems")
     expect(m.groups() == {"g": [3, 3, 3, m.groups()["g"][3]]}, "group table")
-    m2 = Meter()
-    for r in m.records:
-        m2.records.append((r[0], r[1], r[2] / 2, r[3]))
-    expect(abs(best_rate([m, m2]) - 3 / sum(r[2] / 2 for r in m.records)) < 1e-9,
-           "best_rate takes each operation's fastest round")
+    rounds = []
+    for scale in (1, 2, 4):
+        rounds.append(Meter())
+        rounds[-1].records = [(g, w, dt * scale, f) for g, w, dt, f in m.records]
+    expect(abs(median_rate(rounds) - 3 / (2 * sum(r[2] for r in m.records))) < 1e-9,
+           "median_rate takes the median round")
 
 
 def check_self_times() -> None:

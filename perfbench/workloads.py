@@ -21,9 +21,7 @@ import random
 import re
 
 from meter import KnownFault
-from relalg import (
-    algebra, cli, efgame, logic, networks, pebble, rainbow, rasfile, seurat,
-)
+from relalg import algebra, efgame, logic, networks, pebble, rainbow, rasfile, seurat
 
 
 def n_atoms(s: int, t: int) -> int:
@@ -83,9 +81,16 @@ def _exists_check(s, t, rounds, done):
     return check
 
 
-def _refute_check(r):
-    cites = any("pigeonhole" in line for line in r.transcript)
-    return _expect(r, "verified", r.states, None if cites else "no pigeonhole")
+def _refute_check(s):
+    def check(r):
+        # the witness answers the first s - 1 greens, one red index each,
+        # so some line holds s networks before pigeonhole ends it
+        if r.states < s:
+            return _expect(r, "verified", r.states, f"{r.states} states, under {s}")
+        cites = any("pigeonhole" in line for line in r.transcript)
+        return _expect(r, "verified", r.states, None if cites else "no pigeonhole")
+
+    return check
 
 
 def netgame_round(rbs: dict, op, tr) -> None:
@@ -102,7 +107,7 @@ def netgame_round(rbs: dict, op, tr) -> None:
         op(
             f"refute B({s},{t}) max_rounds={max_rounds}",
             lambda: networks.verify_forall_refutation(rb, max_rounds),
-            _refute_check,
+            _refute_check(s),
         )
 
 
@@ -188,28 +193,9 @@ FORALL_MAX = 8
 
 
 def colouring_setup(seed: int) -> dict:
-    """Every instance parsed from its command line, as ``relalg seurat`` and
-    ``relalg seurat-solve`` read them; the colouring game has no other
-    input."""
-    parser = cli.build_parser()
-
-    def parse(*argv):
-        return parser.parse_args([str(a) for a in argv])
-
-    small = range(FORALL_MAX + 1)
-    return {
-        "exhaustive": [parse("seurat", "--t", p, "--t2", q, "-n", n)
-                       for p, q, n in COL_EXHAUSTIVE],
-        "sampled": [parse("seurat", "--t", p, "--t2", q, "-n", n, "--mode",
-                          "sampled", "--samples", k,
-                          "--seed", _sub_seed(seed, f"col{p},{q},{n}"))
-                    for p, q, n, k in COL_SAMPLED],
-        "grid": [parse("seurat-solve", "--t", p, "--t2", q, "-n", n)
-                 for p in range(GRID_MAX + 1) for q in range(GRID_MAX + 1)
-                 for n in range(GRID_ROUNDS + 1)],
-        "small": [parse("seurat", "--t", p, "--t2", q, "-n", n)
-                  for p in small for q in small for n in range(GRID_ROUNDS + 1)],
-    }
+    """The seeds of the sampled runs.  The colouring game takes no other
+    input than the sizes above, so this set-up is close to nothing."""
+    return {(p, q, n): _sub_seed(seed, f"col{p},{q},{n}") for p, q, n, _ in COL_SAMPLED}
 
 
 def winner_oracle(p: int, q: int, n: int):
@@ -237,9 +223,8 @@ def _seurat_check(status, plays=None):
     return check
 
 
-def colouring_round(ctx: dict, op, tr) -> None:
-    for a in ctx["exhaustive"]:
-        p, q, n = a.t, a.t2, a.n
+def colouring_round(seeds: dict, op, tr) -> None:
+    for p, q, n in COL_EXHAUSTIVE:
         op(
             f"exhaustive {p}+{q} points n={n}",
             lambda: seurat.verify_seurat_strategy(
@@ -247,26 +232,26 @@ def colouring_round(ctx: dict, op, tr) -> None:
             ),
             _seurat_check("verified", (2**p + 2**q) ** n),
         )
-    for a in ctx["sampled"]:
+    for p, q, n, k in COL_SAMPLED:
         op(
-            f"sampled {a.t}+{a.t2} points n={a.n}",
+            f"sampled {p}+{q} points n={n}",
             lambda: seurat.verify_seurat_strategy(
-                a.t, a.t2, a.n, mode="sampled", samples=a.samples, seed=a.seed,
+                p, q, n, mode="sampled", samples=k, seed=seeds[p, q, n],
                 strategy=seurat.lemma43_strategy,
             ),
-            _seurat_check("verified-sampled", a.samples),
+            _seurat_check("verified-sampled", k),
         )
     grid = {}
-    for a in ctx["grid"]:
-        p, q, n = a.t, a.t2, a.n
-        grid[p, q, n] = op(
-            f"brute_force_winner p,q<={GRID_MAX} n<={GRID_ROUNDS}",
-            lambda: seurat.brute_force_winner(p, q, n),
-            _grid_check(p, q, n),
-        )
-    for a in ctx["small"]:
-        p, q, n = a.t, a.t2, a.n
-        if grid.get((p, q, n)) == "forall":
+    for p in range(GRID_MAX + 1):
+        for q in range(GRID_MAX + 1):
+            for n in range(GRID_ROUNDS + 1):
+                grid[p, q, n] = op(
+                    f"brute_force_winner p,q<={GRID_MAX} n<={GRID_ROUNDS}",
+                    lambda: seurat.brute_force_winner(p, q, n),
+                    _grid_check(p, q, n),
+                )
+    for (p, q, n), winner in grid.items():
+        if winner == "forall" and max(p, q) <= FORALL_MAX:
             op(
                 f"exhaustive where forall wins, p,q<={FORALL_MAX} n<={GRID_ROUNDS}",
                 lambda: seurat.verify_seurat_strategy(
@@ -317,7 +302,14 @@ def _pebble_check(pebbles, t):
     def check(r):
         if pebbles <= t:  # enough greens to match every pebble
             return _expect(r, "verified", 1)
-        bad = None if len(r.transcript) <= 3 else f"{len(r.transcript)} placements"
+        # every placement but the last keeps a partial isomorphism; the
+        # last breaches one, or the strategy finds no reply
+        *kept, last = r.transcript or [""]
+        bad = None
+        if not all(line.endswith("| ok") for line in kept):
+            bad = f"a placement before the last fails: {kept}"
+        elif "| breach: " not in last and "| strategy failed: " not in last:
+            bad = f"last placement {last!r}"
         return _expect(r, "counterexample", 1, bad)
 
     return check
