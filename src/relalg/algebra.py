@@ -12,8 +12,8 @@ the demo scripts; the game engines work on raw masks for speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, reduce
+from operator import itemgetter, or_
 
 from .atoms import AtomStructure
 
@@ -77,6 +77,35 @@ class Algebra:
             row = comp[a]
             for b in bits(y):
                 out |= row[b]
+        return out
+
+    def compose_all(self, masks: list[int]) -> list[list[int]]:
+        """Every pairwise composition: ``out[i][j] = masks[i] ; masks[j]``.
+
+        For each left mask x the row ``L[b] = OR of comp[a][b] over a in
+        x`` is built once, and then ``x ; y`` is the OR of ``L[b]`` over
+        the bits b of y.  On a list of m masks that partition k atoms
+        this costs about k*k + k*m steps instead of m*m compose calls.
+        A one-atom y = {b} needs no OR at all: ``x ; y`` is ``L[b]``.  The
+        products with the other masks are appended to L, so that one
+        itemgetter reads out the whole row of products.
+        """
+        if len(masks) < 2:
+            return [[self.compose(x, y) for y in masks] for x in masks]
+        comp, k = self.comp, self.n_atoms
+        atoms = [list(bits(x)) for x in masks]
+        multi = [ys for ys in atoms if len(ys) != 1]
+        slot = iter(range(k, k + len(multi)))
+        pick = itemgetter(*[ys[0] if len(ys) == 1 else next(slot) for ys in atoms])
+        out = []
+        for xs in atoms:
+            row = comp[xs[0]] if xs else [0] * k
+            for a in xs[1:]:
+                row = list(map(or_, row, comp[a]))
+            if multi:
+                get = row.__getitem__
+                row = row + [reduce(or_, map(get, ys), 0) for ys in multi]
+            out.append(list(pick(row)))
         return out
 
     def atom_mask(self, a: int) -> int:
@@ -247,47 +276,6 @@ def generate_subalgebra(alg: Algebra, gens) -> set[int]:
         have.update(new)
         frontier = new
     return have
-
-
-def subalgebra_atoms(alg: Algebra, gens) -> list[int]:
-    """Atoms (as masks) of the subalgebra generated by ``gens``.
-
-    Computed by partition refinement: start from the boolean partition
-    induced by the generators and 1', then split cells until the
-    partition is closed under converse and composition.  The subalgebra
-    is exactly the set of unions of these cells.
-    """
-    cells = [alg.one]
-
-    def split_by(z: int) -> bool:
-        nonlocal cells
-        changed = False
-        out = []
-        for c in cells:
-            inz = c & z
-            if inz and inz != c:
-                out.append(inz)
-                out.append(c & ~z)
-                changed = True
-            else:
-                out.append(c)
-        cells = out
-        return changed
-
-    split_by(alg.identity_mask)
-    for g in gens:
-        split_by(g)
-    changed = True
-    while changed:
-        changed = False
-        for c in list(cells):
-            if split_by(alg.converse(c)):
-                changed = True
-        for c1 in list(cells):
-            for c2 in list(cells):
-                if split_by(alg.compose(c1, c2)):
-                    changed = True
-    return cells
 
 
 # ---------------------------------------------------------------------------

@@ -145,22 +145,6 @@ class AtomStructure:
         return "(" + ", ".join(self.names[a] for a in t) + ")"
 
 
-def is_consistent(s: AtomStructure, t: Triple) -> bool:
-    return s.is_consistent(t)
-
-
-def converse_of(s: AtomStructure, a: int) -> int:
-    return s.converse_of(a)
-
-
-def is_identity_atom(s: AtomStructure, a: int) -> bool:
-    return s.is_identity_atom(a)
-
-
-def validate(s: AtomStructure) -> list[str]:
-    return s.validate()
-
-
 def make_structure(
     names: Sequence[str],
     identity: Iterable[str],

@@ -159,7 +159,8 @@ def cmd_pebble(args) -> int:
     right = pebble.AtomRelStructure.from_atom_structure(rb.structure)
     strategy = pebble.Cor33Strategy(ra, rb)
     res = pebble.verify_pebble_strategy(left, right, strategy,
-                                        args.pebbles, args.rounds)
+                                        args.pebbles, args.rounds,
+                                        max_states=args.budget)
     _print_transcript(res.transcript)
     if res.verified:
         print(
@@ -167,6 +168,9 @@ def cmd_pebble(args) -> int:
             f"{args.pebbles} pebbles; {res.states} states"
         )
         return OK
+    if res.status == "inconclusive":
+        print(f"inconclusive: {res.reason}")
+        return INCONCLUSIVE
     print(f"counterexample: {res.reason}")
     return FAIL
 
@@ -254,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file_b")
     p.add_argument("--pebbles", type=int, required=True)
     p.add_argument("--rounds", type=int, required=True)
+    p.add_argument("--budget", type=int, default=pebble.DEFAULT_MAX_STATES)
     p.set_defaults(fn=cmd_pebble)
 
     p = sub.add_parser("eval", help="evaluate a sentence in the complex "

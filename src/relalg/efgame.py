@@ -9,15 +9,20 @@ the generated subalgebras.
 The winner of a position is decided by joint partition refinement over
 paired atom cells rather than by enumerating the generated subalgebras,
 which keeps a single check near-instant even on algebras with thousands
-of elements.  A direct pairwise closure (:func:`pair_closure`) is kept
-as an independently-checkable oracle for small instances.
+of elements.  Each refinement pass forms all cell products of a side in
+one batch (:meth:`Algebra.compose_all`), keeps each distinct pair of
+products once (a repeated pair can split no group), and signs every
+atom with an int over those pairs.  A direct pairwise closure
+(:func:`pair_closure`) is kept as an independently-checkable oracle for
+small instances.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from itertools import chain
+from typing import Optional
 
 from .algebra import Algebra
 from .rainbow import Rainbow
@@ -143,57 +148,55 @@ def position_winner(pos: EFPosition) -> PositionVerdict:
     """Decide whether the pairing extends to an isomorphism.
 
     Works on the atom partitions of the two generated subalgebras in
-    lock step: atoms on both sides are grouped by a common signature
-    (membership in each played element and the identity, then cell of
-    the converse and membership in each cell composition), and the
-    groups are refined until stable.  The pairing extends to an
+    lock step: atoms on both sides are grouped by a common signature,
+    and the groups are refined until stable.  The pairing extends to an
     isomorphism iff no signature group ever ends up populated on one
     side only.
+
+    The first signature of an atom is an int whose bit p says whether
+    the atom lies in the p-th played element (the identity comes last).
+    Each refinement pass then forms every cell product on both sides at
+    once (:meth:`Algebra.compose_all`) and keeps each distinct
+    (A-product, B-product) pair once, in order of first appearance.  An
+    atom's next signature is (its cell, the cell of its converse, an int
+    with bit p set when the atom lies in distinct product pair p).  A
+    repeated product pair would add a column equal to an earlier one,
+    and an equal column splits no group, so dropping it leaves every
+    partition, and with it the coarsest stable one, unchanged.
     """
     alg_a, alg_b = pos.alg_a, pos.alg_b
-    ka, kb = alg_a.n_atoms, alg_b.n_atoms
+    conv_a, conv_b = alg_a.conv_atom, alg_b.conv_atom
 
-    def grouped(sig_a: list, sig_b: list):
-        groups: dict = {}
-        for i in range(ka):
-            groups.setdefault(sig_a[i], [0, 0])[0] |= 1 << i
-        for i in range(kb):
-            groups.setdefault(sig_b[i], [0, 0])[1] |= 1 << i
-        return groups
+    def columns(pairs, alg: Algebra, side: int) -> list:
+        """Per atom, the int whose bit p is its membership in pairs[p]:
+        the transpose of the side's masks, done on binary strings."""
+        width = f"0{alg.n_atoms}b"
+        rows = [format(p[side] & alg.one, width) for p in reversed(pairs)]
+        return [int("".join(col), 2) for col in zip(*rows)][::-1]
 
     elems = list(pos.pairs) + [(alg_a.identity_mask, alg_b.identity_mask)]
-    sig_a = [tuple((a >> i) & 1 for a, _ in elems) for i in range(ka)]
-    sig_b = [tuple((b >> i) & 1 for _, b in elems) for i in range(kb)]
+    sig_a, sig_b = columns(elems, alg_a, 0), columns(elems, alg_b, 1)
 
     while True:
-        groups = grouped(sig_a, sig_b)
+        groups: dict = {}
+        for i, sig in enumerate(sig_a):
+            groups.setdefault(sig, [0, 0])[0] |= 1 << i
+        for i, sig in enumerate(sig_b):
+            groups.setdefault(sig, [0, 0])[1] |= 1 << i
         for ma, mb in groups.values():
             if (ma == 0) != (mb == 0):
                 return PositionVerdict(winner="forall", witness=(ma, mb))
-        cells = sorted(groups.values())
-        index = {}
-        for ci, (ma, mb) in enumerate(cells):
-            for i in range(ka):
-                if ma >> i & 1:
-                    index[("A", i)] = ci
-            for i in range(kb):
-                if mb >> i & 1:
-                    index[("B", i)] = ci
-        comps = [
-            (alg_a.compose(ma, ma2), alg_b.compose(mb, mb2))
-            for ma, mb in cells
-            for ma2, mb2 in cells
-        ]
-        new_a = [
-            (index[("A", i)], index[("A", alg_a.conv_atom[i])])
-            + tuple((ca >> i) & 1 for ca, _ in comps)
-            for i in range(ka)
-        ]
-        new_b = [
-            (index[("B", i)], index[("B", alg_b.conv_atom[i])])
-            + tuple((cb >> i) & 1 for _, cb in comps)
-            for i in range(kb)
-        ]
+        keys = sorted(groups, key=groups.__getitem__)
+        cells = [groups[sig] for sig in keys]
+        rank = {sig: ci for ci, sig in enumerate(keys)}
+        cell_a = [rank[sig] for sig in sig_a]
+        cell_b = [rank[sig] for sig in sig_b]
+        prods_a = alg_a.compose_all([ma for ma, _ in cells])
+        prods_b = alg_b.compose_all([mb for _, mb in cells])
+        prods = dict.fromkeys(zip(chain(*prods_a), chain(*prods_b)))
+        col_a, col_b = columns(prods, alg_a, 0), columns(prods, alg_b, 1)
+        new_a = [(c, cell_a[v], s) for c, v, s in zip(cell_a, conv_a, col_a)]
+        new_b = [(c, cell_b[v], s) for c, v, s in zip(cell_b, conv_b, col_b)]
         if len(set(new_a) | set(new_b)) == len(cells):
             return PositionVerdict(
                 winner="exists", cells=[(ma, mb) for ma, mb in cells]

@@ -561,9 +561,8 @@ def verify_forall_refutation(
     injection of green indices into red indices exists (pigeonhole).
     """
     alg = Algebra(rb.structure)
-    moves = rainbow_refuter_moves(rb)
-    if max_rounds < len(moves) + 1:
-        moves = moves[: max_rounds - 1]
+    # the opening is round 0, so max_rounds leaves max_rounds - 1 moves
+    moves = rainbow_refuter_moves(rb)[: max(max_rounds - 1, 0)]
     counter = [0]
     names = rb.structure.names
 

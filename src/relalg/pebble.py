@@ -21,6 +21,8 @@ from typing import Optional
 from .atoms import AtomStructure
 from .rainbow import Rainbow
 
+DEFAULT_MAX_STATES = 5_000_000
+
 
 @dataclass(frozen=True)
 class AtomRelStructure:
@@ -129,7 +131,7 @@ class Cor33Strategy:
 
 @dataclass
 class PebbleVerifyResult:
-    status: str  # "verified" | "counterexample"
+    status: str  # "verified" | "counterexample" | "inconclusive"
     transcript: list = field(default_factory=list)
     states: int = 0
     reason: str = ""
@@ -137,6 +139,10 @@ class PebbleVerifyResult:
     @property
     def verified(self) -> bool:
         return self.status == "verified"
+
+
+class _Budget(Exception):
+    pass
 
 
 def _move_line(i, side, pebble, left, right, atom, reply, status) -> str:
@@ -154,13 +160,14 @@ def verify_pebble_strategy(
     strategy,
     pebbles: int,
     rounds: int,
-    max_states: int = 5_000_000,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> PebbleVerifyResult:
     """Exhaustively play every first-player line to the given depth.
 
     Positions are memoized on the multiset of pebbled pairs (pebble
     identity does not affect the winner) and the remaining depth.  The
-    verdict "verified" certifies survival to exactly this depth.
+    verdict "verified" certifies survival to exactly this depth; more
+    than ``max_states`` positions give "inconclusive".
     """
     states = 0
     seen: set = set()
@@ -175,7 +182,7 @@ def verify_pebble_strategy(
         seen.add(key)
         states += 1
         if states > max_states:
-            raise RuntimeError("state budget exceeded")
+            raise _Budget
         for side, struct in (("L", left), ("R", right)):
             mine = 0 if side == "L" else 1
             for pebble in range(pebbles):
@@ -210,7 +217,12 @@ def verify_pebble_strategy(
                         return bad
         return None
 
-    losing = dfs({}, 0)
+    try:
+        losing = dfs({}, 0)
+    except _Budget:
+        return PebbleVerifyResult(
+            status="inconclusive", states=states, reason="state budget"
+        )
     if losing is None:
         return PebbleVerifyResult(status="verified", states=states)
     return PebbleVerifyResult(

@@ -131,9 +131,6 @@ class Rainbow:
     def green_mask(self) -> int:
         return ((1 << self.s) - 1) << 4
 
-    def params_of(self) -> RainbowParams:
-        return RainbowParams(self.s, self.t)
-
 
 def rainbow_params_from_names(names) -> RainbowParams:
     """Recover (s, t) from the atom names of a rainbow structure.

@@ -89,6 +89,13 @@ def test_netgame_budget_inconclusive(ras22, capsys):
     assert "inconclusive" in capsys.readouterr().out
 
 
+def test_pebble_budget_inconclusive(ras22, ras32, capsys):
+    code = main(["pebble", ras22, ras32, "--pebbles", "2", "--rounds", "4",
+                 "--budget", "10"])
+    assert code == INCONCLUSIVE
+    assert "inconclusive: state budget" in capsys.readouterr().out
+
+
 def test_efgame_counterexample(ras22, ras32, capsys):
     assert main(["efgame", ras22, ras32, "-n", "1"]) == FAIL
     assert "counterexample" in capsys.readouterr().out

@@ -16,7 +16,7 @@ from relalg.efgame import (
     prop44_strategy,
     verify_ef_strategy,
 )
-from relalg.seurat import SeuratSession
+from relalg.seurat import SeuratSession, SeuratStrategyFailure
 
 RB22 = Rainbow.make(2, 2)
 RB32 = Rainbow.make(3, 2)
@@ -87,6 +87,123 @@ def test_appending_pairs_never_helps_exists():
             continue
         ext = pos.extended(rng.randrange(ALG22.size), rng.randrange(b.size))
         assert not position_winner(ext).exists_ok
+
+
+def _tuple_signature_winner(pos):
+    """The tuple-of-bits refinement that position_winner replaced: one
+    compose call per ordered cell pair, no dedup of product columns."""
+    alg_a, alg_b = pos.alg_a, pos.alg_b
+    ka, kb = alg_a.n_atoms, alg_b.n_atoms
+    elems = list(pos.pairs) + [(alg_a.identity_mask, alg_b.identity_mask)]
+    sig_a = [tuple((a >> i) & 1 for a, _ in elems) for i in range(ka)]
+    sig_b = [tuple((b >> i) & 1 for _, b in elems) for i in range(kb)]
+    while True:
+        groups = {}
+        for i in range(ka):
+            groups.setdefault(sig_a[i], [0, 0])[0] |= 1 << i
+        for i in range(kb):
+            groups.setdefault(sig_b[i], [0, 0])[1] |= 1 << i
+        for ma, mb in groups.values():
+            if (ma == 0) != (mb == 0):
+                return "forall", [], (ma, mb)
+        cells = sorted(groups.values())
+        index = {}
+        for ci, (ma, mb) in enumerate(cells):
+            for i in range(ka):
+                if ma >> i & 1:
+                    index[("A", i)] = ci
+            for i in range(kb):
+                if mb >> i & 1:
+                    index[("B", i)] = ci
+        comps = [
+            (alg_a.compose(ma, ma2), alg_b.compose(mb, mb2))
+            for ma, mb in cells
+            for ma2, mb2 in cells
+        ]
+        new_a = [
+            (index[("A", i)], index[("A", alg_a.conv_atom[i])])
+            + tuple((ca >> i) & 1 for ca, _ in comps)
+            for i in range(ka)
+        ]
+        new_b = [
+            (index[("B", i)], index[("B", alg_b.conv_atom[i])])
+            + tuple((cb >> i) & 1 for _, cb in comps)
+            for i in range(kb)
+        ]
+        if len(set(new_a) | set(new_b)) == len(cells):
+            return "exists", [(ma, mb) for ma, mb in cells], None
+        sig_a, sig_b = new_a, new_b
+
+
+def _sampled_positions(rb_a, rb_b, alg_a, alg_b, count, rng):
+    """Seeded one- to three-pair positions: half with uniform random
+    pairs, half with the colouring-game strategy's answers, so both
+    verdicts are well represented."""
+    positions = []
+    for k in range(count):
+        n = rng.randrange(1, 4)
+        if k % 2:
+            pairs = tuple(
+                (rng.randrange(alg_a.size), rng.randrange(alg_b.size))
+                for _ in range(n)
+            )
+        else:
+            strat = Prop44Strategy(rb_a, rb_b)
+            session = strat.start(n)
+            pairs = ()
+            for _ in range(n):
+                side = rng.choice("AB")
+                elem = rng.randrange(alg_a.size if side == "A" else alg_b.size)
+                try:
+                    resp = strat.respond(session, side, elem)
+                except SeuratStrategyFailure:
+                    other = alg_b if side == "A" else alg_a
+                    resp = rng.randrange(other.size)
+                pairs += ((elem, resp) if side == "A" else (resp, elem),)
+        positions.append(EFPosition(alg_a, alg_b, pairs))
+    return positions
+
+
+@pytest.mark.parametrize(
+    "s_a, s_b, t, count",
+    [(2, 3, 2, 150), (3, 4, 2, 150), (8, 9, 2, 80), (8, 9, 7, 40)],
+)
+def test_position_winner_matches_tuple_signature_winner(s_a, s_b, t, count):
+    rb_a, rb_b = Rainbow.make(s_a, t), Rainbow.make(s_b, t)
+    alg_a, alg_b = Algebra(rb_a.structure), Algebra(rb_b.structure)
+    rng = random.Random(1000 * s_a + t)
+    winners = set()
+    for pos in _sampled_positions(rb_a, rb_b, alg_a, alg_b, count, rng):
+        v = position_winner(pos)
+        assert (v.winner, v.cells, v.witness) == _tuple_signature_winner(pos)
+        winners.add(v.winner)
+    assert winners == {"exists", "forall"}
+
+
+def test_refinement_agrees_with_pair_closure_on_unequal_pair():
+    # B(2,1) and B(3,1) differ, so "forall" verdicts are cross-checked too
+    rb_a, rb_b = Rainbow.make(2, 1), Rainbow.make(3, 1)
+    alg_a, alg_b = Algebra(rb_a.structure), Algebra(rb_b.structure)
+    rng = random.Random(31)
+    winners = set()
+    for pos in _sampled_positions(rb_a, rb_b, alg_a, alg_b, 200, rng):
+        v = position_winner(pos)
+        assert v.exists_ok == pair_closure(pos).is_isomorphism
+        winners.add(v.winner)
+    assert winners == {"exists", "forall"}
+
+
+def test_compose_all_matches_compose():
+    rng = random.Random(5)
+    for alg in (ALG22, Algebra(Rainbow.make(8, 7).structure)):
+        masks = [0, alg.one, alg.identity_mask] + [
+            rng.randrange(alg.size) for _ in range(6)
+        ] + [1 << rng.randrange(alg.n_atoms) for _ in range(6)]
+        table = alg.compose_all(masks)
+        assert table == [[alg.compose(x, y) for y in masks] for x in masks]
+    assert ALG22.compose_all([]) == []
+    x = 1 << RB22.green(0)
+    assert ALG22.compose_all([x]) == [[ALG22.compose(x, x)]]
 
 
 # ---------------------------------------------------------------------------

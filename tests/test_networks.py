@@ -188,6 +188,21 @@ def test_verify_forall_refutation_fails_when_enough_reds():
     assert res.status == "counterexample"
 
 
+@pytest.mark.parametrize("max_rounds", [0, 1])
+def test_verify_forall_refutation_no_moves_within_one_round(max_rounds):
+    # the opening is round 0; no refuter move fits in a single round
+    res = verify_forall_refutation(RB32, max_rounds=max_rounds)
+    assert res.status == "counterexample"
+    assert res.transcript == ["round 0 | forall: atom w"]
+
+
+def test_verify_forall_refutation_two_rounds_play_one_move():
+    res = verify_forall_refutation(RB32, max_rounds=2)
+    assert res.status == "counterexample"
+    rounds = [line.split(" |")[0] for line in res.transcript]
+    assert rounds == ["round 0", "round 1"]
+
+
 def test_representation_from_network_sound_not_saturated():
     from relalg import check_representation
 

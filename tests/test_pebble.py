@@ -149,3 +149,12 @@ def test_three_pebbles_lose_quickly():
     assert res.status == "counterexample"
     assert len(res.transcript) <= 3
     assert any("breach" in line or "failed" in line for line in res.transcript)
+
+
+def test_state_budget_gives_inconclusive():
+    res = verify_pebble_strategy(
+        L22, L32, Cor33Strategy(RB22, RB32), pebbles=2, rounds=4, max_states=10
+    )
+    assert res.status == "inconclusive"
+    assert res.reason == "state budget"
+    assert not res.verified
