@@ -8,7 +8,6 @@ from .algebra import (
     Representation,
     check_axioms,
     check_representation,
-    generate_subalgebra,
 )
 from .rainbow import Rainbow, build_rainbow, predicted_representable
 from .networks import (
@@ -30,6 +29,7 @@ from .efgame import (
 )
 from .logic import build_phi_k, cardinality_sentence, evaluate, parse_formula
 from .pebble import AtomRelStructure, Cor33Strategy, verify_pebble_strategy
+from .verdict import Verdict
 from . import rasfile
 
 __version__ = "0.1.0"

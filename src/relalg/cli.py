@@ -39,9 +39,18 @@ def _rainbow_of(st) -> Rainbow:
     return Rainbow(s=p.s, t=p.t, structure=st)
 
 
-def _print_transcript(lines) -> None:
-    for line in lines:
+def _finish(res, verified_line: str) -> int:
+    """Print a verifier's transcript and verdict line; return its exit code."""
+    for line in res.transcript:
         print(line)
+    if res.verified:
+        print(verified_line)
+        return OK
+    if res.status == "inconclusive":
+        print(f"inconclusive: {res.reason}")
+        return INCONCLUSIVE
+    print(f"counterexample: {res.reason}")
+    return FAIL
 
 
 def cmd_rainbow(args) -> int:
@@ -85,15 +94,7 @@ def cmd_netgame(args) -> int:
         res = networks.verify_exists_strategy(rb, args.rounds,
                                               max_states=args.budget)
         label = "survival strategy verified (exhaustive)"
-    _print_transcript(res.transcript)
-    if res.status == "verified":
-        print(f"{label}; rounds={args.rounds} states={res.states}")
-        return OK
-    if res.status == "inconclusive":
-        print(f"inconclusive: {res.reason}")
-        return INCONCLUSIVE
-    print(f"counterexample: {res.reason}")
-    return FAIL
+    return _finish(res, f"{label}; rounds={args.rounds} states={res.states}")
 
 
 def _paired_rainbows(path_a: str, path_b: str):
@@ -123,13 +124,8 @@ def cmd_efgame(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE
-    _print_transcript(res.transcript)
-    if res.verified:
-        how = "exhaustive" if res.status == "verified" else "sampled"
-        print(f"verified ({how}): {res.plays} plays, no losing position")
-        return OK
-    print(f"counterexample after {res.plays} plays")
-    return FAIL
+    return _finish(res, f"verified ({args.mode}): {res.plays} plays, "
+                        "no losing position")
 
 
 def cmd_seurat(args) -> int:
@@ -138,13 +134,7 @@ def cmd_seurat(args) -> int:
         args.t, args.t2, args.n, mode=args.mode,
         samples=args.samples, seed=args.seed,
     )
-    if not res.verified:
-        _print_transcript(res.transcript)
-        print(f"counterexample after {res.plays} plays")
-        return FAIL
-    how = "exhaustive" if res.status == "verified" else "sampled"
-    print(f"verified ({how}): {res.plays} plays survived")
-    return OK
+    return _finish(res, f"verified ({args.mode}): {res.plays} plays survived")
 
 
 def cmd_seurat_solve(args) -> int:
@@ -161,18 +151,8 @@ def cmd_pebble(args) -> int:
     res = pebble.verify_pebble_strategy(left, right, strategy,
                                         args.pebbles, args.rounds,
                                         max_states=args.budget)
-    _print_transcript(res.transcript)
-    if res.verified:
-        print(
-            f"verified (exhaustive) to depth {args.rounds} with "
-            f"{args.pebbles} pebbles; {res.states} states"
-        )
-        return OK
-    if res.status == "inconclusive":
-        print(f"inconclusive: {res.reason}")
-        return INCONCLUSIVE
-    print(f"counterexample: {res.reason}")
-    return FAIL
+    return _finish(res, f"verified (exhaustive) to depth {args.rounds} with "
+                        f"{args.pebbles} pebbles; {res.states} states")
 
 
 def cmd_eval(args) -> int:

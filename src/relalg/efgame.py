@@ -15,6 +15,9 @@ products once (a repeated pair can split no group), and signs every
 atom with an int over those pairs.  A direct pairwise closure
 (:func:`pair_closure`) is kept as an independently-checkable oracle for
 small instances.
+
+:func:`verify_ef_strategy` returns a :class:`~relalg.verdict.Verdict`;
+the exact solver :func:`brute_force_winner` returns the winner's name.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from typing import Optional
 from .algebra import Algebra
 from .rainbow import Rainbow
 from .seurat import SeuratSession
+from .verdict import BudgetExhausted, Verdict
 
 EXHAUSTIVE_MAX_ROUNDS = 1
 EXHAUSTIVE_MAX_SIZE = 1 << 13
@@ -229,7 +233,7 @@ def brute_force_winner(
             return got
         states += 1
         if states > max_states:
-            raise _Budget
+            raise BudgetExhausted
         if not position_winner(EFPosition(alg_a, alg_b, tuple(pairs))).exists_ok:
             memo[key] = False
             return False
@@ -263,12 +267,8 @@ def brute_force_winner(
 
     try:
         return "exists" if exists_survives(frozenset(pos.pairs), n) else "forall"
-    except _Budget:
+    except BudgetExhausted:
         return "inconclusive"
-
-
-class _Budget(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -351,18 +351,6 @@ class Prop44Strategy:
 # strategy verification
 
 
-@dataclass
-class EFVerifyResult:
-    status: str  # "verified" | "verified-sampled" | "counterexample"
-    transcript: list = field(default_factory=list)
-    plays: int = 0
-    reason: str = ""
-
-    @property
-    def verified(self) -> bool:
-        return self.status in ("verified", "verified-sampled")
-
-
 def _round_line(i: int, side: str, elem: int, resp: int, status: str) -> str:
     return (
         f"round {i} | forall: side={side} elem={elem:#x}"
@@ -396,7 +384,7 @@ def verify_ef_strategy(
     mode: str = "exhaustive",
     samples: int = 10_000,
     seed: Optional[int] = None,
-) -> EFVerifyResult:
+) -> Verdict:
     """Check a second-player strategy against every (or a sample of)
     first-player play.
 
@@ -419,15 +407,15 @@ def verify_ef_strategy(
                 ok, lines = _play_out(alg_a, alg_b, strategy, n, moves)
                 plays += 1
                 if not ok:
-                    return EFVerifyResult(
+                    return Verdict(
                         status="counterexample",
                         transcript=lines,
                         plays=plays,
-                        reason="strategy reached a losing position",
+                        reason=f"strategy reached a losing position in play {plays}",
                     )
                 if n == 0:
-                    return EFVerifyResult(status="verified", plays=1)
-        return EFVerifyResult(status="verified", plays=plays)
+                    return Verdict(status="verified", plays=1)
+        return Verdict(status="verified", plays=plays)
 
     if mode == "sampled":
         if seed is None:
@@ -446,12 +434,12 @@ def verify_ef_strategy(
                 moves.append((side, elem))
             ok, lines = _play_out(alg_a, alg_b, strategy, n, moves)
             if not ok:
-                return EFVerifyResult(
+                return Verdict(
                     status="counterexample",
                     transcript=lines,
                     plays=play + 1,
-                    reason="strategy reached a losing position",
+                    reason=f"strategy reached a losing position in play {play + 1}",
                 )
-        return EFVerifyResult(status="verified-sampled", plays=samples)
+        return Verdict(status="verified-sampled", plays=samples)
 
     raise ValueError(f"unknown mode {mode!r}")

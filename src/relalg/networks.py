@@ -4,17 +4,19 @@ A network is a totally atom-labelled finite node set with identity
 loops, converse-symmetric edges and no forbidden triangle.  This module
 implements the game moves, the rainbow witness strategy for the
 representable side, the universal-player refutation for the
-non-representable side, and bounded exhaustive verifiers for both.
+non-representable side, and bounded exhaustive verifiers for both,
+which return a :class:`~relalg.verdict.Verdict`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Algebra
 from .rainbow import Rainbow
+from .verdict import Verdict
 
 DEFAULT_MAX_NODES = 12
 DEFAULT_MAX_STATES = 10_000_000
@@ -198,6 +200,33 @@ def _record_new_cliques(net: Network, rb: Rainbow, book: Book) -> Book:
     return out
 
 
+def _new_node_labels(net: Network, st, move: ForallMove) -> Optional[list[int]]:
+    """The label list of ``net`` grown by a node z = n that answers ``move``.
+
+    The old labels are copied, z's loop gets an identity atom, and the
+    forced edges get their labels: a on x-z and b on z-y, each with its
+    converse.  Edges between z and the other nodes are left 0 for the
+    caller to fill.  None when x = y and b is not a~, since both labels
+    would then land on the same edge; legality forces b = a~.
+    """
+    x, y, a, b = move.x, move.y, move.a, move.b
+    if x == y and st.conv[a] != b:
+        return None
+    n = net.n
+    lab = net.lab
+    z = n
+    m = n + 1
+    new = [0] * (m * m)
+    for u in range(n):
+        new[u * m : u * m + n] = lab[u * n : u * n + n]
+    new[z * m + z] = next(iter(st.identity))
+    new[x * m + z] = a
+    new[z * m + x] = st.conv[a]
+    new[z * m + y] = b
+    new[y * m + z] = st.conv[b]
+    return new
+
+
 def rainbow_exists_strategy(
     rb: Rainbow, net: Network, book: Book, move: ForallMove
 ) -> tuple[Network, Book]:
@@ -234,23 +263,11 @@ def rainbow_exists_strategy(
         elif len(members) == 1:
             h = least_injection(rb.s, rb.t, {})
 
+    new = _new_node_labels(net, st, move)
+    if new is None:
+        raise StrategyFailure("inconsistent reflexive move")
     z = n
     m = n + 1
-    new = [0] * (m * m)
-    for u in range(n):
-        row = u * n
-        nrow = u * m
-        for v in range(n):
-            new[nrow + v] = lab[row + v]
-    e = next(iter(st.identity))
-    new[z * m + z] = e
-    new[x * m + z] = a
-    new[z * m + x] = st.conv[a]
-    new[z * m + y] = b
-    new[y * m + z] = st.conv[b]
-    if x == y and st.conv[a] != b:
-        # both constraints land on the same edge; legality forces b = a~
-        raise StrategyFailure("inconsistent reflexive move")
 
     cx, cy = (ckey if ckey is not None else (x, y))
     for w in range(n):
@@ -332,16 +349,8 @@ def canonical_state(net: Network, book: Book) -> bytes:
 # verification
 
 
-@dataclass
-class VerifyResult:
-    status: str  # "verified" | "counterexample" | "inconclusive"
-    transcript: list[str] = field(default_factory=list)
-    states: int = 0
-    reason: str = ""
-
-    @property
-    def verified(self) -> bool:
-        return self.status == "verified"
+def _forall_prefix(i: int, move: ForallMove, names) -> str:
+    return f"round {i} | forall: ({move.x},{move.y},{names[move.a]},{names[move.b]})"
 
 
 def _move_line(i: int, net: Network, move: ForallMove, alg: Algebra) -> str:
@@ -350,36 +359,34 @@ def _move_line(i: int, net: Network, move: ForallMove, alg: Algebra) -> str:
     edges = ", ".join(
         f"({w},{z})={names[net.label(w, z)]}" for w in range(z)
     )
-    return (
-        f"round {i} | forall: ({move.x},{move.y},"
-        f"{names[move.a]},{names[move.b]}) | exists: +node {z}, edges {{{edges}}}"
-    )
+    return f"{_forall_prefix(i, move, names)} | exists: +node {z}, edges {{{edges}}}"
 
 
 def verify_exists_strategy(
     rb: Rainbow,
     rounds: int,
-    max_nodes: int = DEFAULT_MAX_NODES,
     max_states: int = DEFAULT_MAX_STATES,
     check_invariants: bool = False,
-) -> VerifyResult:
+) -> Verdict:
     """Exhaustively play every opponent line against the witness strategy.
 
     Round 0 ranges over all opening atoms; rounds 1..rounds-1 over all
     legal non-trivial moves.  The verdict is "verified" iff every
     reachable network is coherent, "counterexample" with a transcript of
-    the losing play otherwise, and "inconclusive" if the node or state
-    budget is exhausted first.
+    the losing play otherwise, and "inconclusive" if a network reaches
+    DEFAULT_MAX_NODES nodes or more than ``max_states`` states are
+    explored first.
     """
     alg = Algebra(rb.structure)
     visited: set[bytes] = set()
     counter = [0]
 
-    def dfs(net: Network, book: Book, depth: int, path: list[str]) -> Optional[VerifyResult]:
+    def dfs(net: Network, book: Book, depth: int, path: list[str]) -> Optional[Verdict]:
         if depth >= rounds:
             return None
-        if net.n >= max_nodes:
-            return VerifyResult("inconclusive", list(path), counter[0], "node budget")
+        if net.n >= DEFAULT_MAX_NODES:
+            return Verdict("inconclusive", list(path), "node budget",
+                           states=counter[0])
         for move in legal_moves(net, alg):
             # (x,y,a,b) and (y,x,b~,a~) demand the same witness; do one
             st = rb.structure
@@ -390,16 +397,19 @@ def verify_exists_strategy(
                 net2, book2 = rainbow_exists_strategy(rb, net, book, move)
             except StrategyFailure as exc:
                 path.append(
-                    f"round {depth} | forall: ({move.x},{move.y},"
-                    f"{st.names[move.a]},{st.names[move.b]}) | exists: "
+                    f"{_forall_prefix(depth, move, st.names)} | exists: "
                     f"strategy failure: {exc}"
                 )
-                return VerifyResult("counterexample", list(path), counter[0])
+                return Verdict("counterexample", list(path),
+                               "the witness strategy has no reply",
+                               states=counter[0])
             path.append(_move_line(depth, net2, move, alg))
             tri = coherent(net2, alg)
             if tri is not None:
                 path.append(f"incoherent triangle {tri}")
-                return VerifyResult("counterexample", list(path), counter[0])
+                return Verdict("counterexample", list(path),
+                               "the witness strategy made an incoherent network",
+                               states=counter[0])
             if check_invariants:
                 assert_strategy_invariants(rb, net, net2, book2, move)
             key = canonical_state(net2, book2)
@@ -407,9 +417,8 @@ def verify_exists_strategy(
                 visited.add(key)
                 counter[0] += 1
                 if counter[0] > max_states:
-                    return VerifyResult(
-                        "inconclusive", list(path), counter[0], "state budget"
-                    )
+                    return Verdict("inconclusive", list(path), "state budget",
+                                   states=counter[0])
                 res = dfs(net2, book2, depth + 1, path)
                 if res is not None:
                     return res
@@ -419,16 +428,17 @@ def verify_exists_strategy(
     for atom in range(rb.structure.n_atoms):
         net = initial_response(alg, atom)
         if coherent(net, alg) is not None:
-            return VerifyResult(
+            return Verdict(
                 "counterexample",
                 [f"round 0 | opening {rb.structure.names[atom]} incoherent"],
-                counter[0],
+                "an opening network is incoherent",
+                states=counter[0],
             )
         path = [f"round 0 | forall: atom {rb.structure.names[atom]}"]
         res = dfs(net, {}, 1, path)
         if res is not None:
             return res
-    return VerifyResult("verified", [], counter[0])
+    return Verdict("verified", states=counter[0])
 
 
 def assert_strategy_invariants(
@@ -491,20 +501,11 @@ def _exists_replies(net: Network, alg: Algebra, move: ForallMove):
     for z in range(n):
         if lab[x * n + z] == a and lab[z * n + y] == b:
             yield net  # trivial witness already present
-    if x == y and st.conv[a] != b:
+    base = _new_node_labels(net, st, move)
+    if base is None:
         return
     m = n + 1
     z = n
-    base = [0] * (m * m)
-    for u in range(n):
-        for v in range(n):
-            base[u * m + v] = lab[u * n + v]
-    e = next(iter(st.identity))
-    base[z * m + z] = e
-    base[x * m + z] = a
-    base[z * m + x] = st.conv[a]
-    base[z * m + y] = b
-    base[y * m + z] = st.conv[b]
     comp = alg.comp
     fixed = {x, y}
     todo = [w for w in range(n) if w not in fixed]
@@ -553,7 +554,7 @@ def verify_forall_refutation(
     rb: Rainbow,
     max_rounds: int,
     max_states: int = DEFAULT_MAX_STATES,
-) -> VerifyResult:
+) -> Verdict:
     """Play the refuter against every coherent reply of the witness player.
 
     Verified means every branch reaches a round where no coherent reply
@@ -566,30 +567,27 @@ def verify_forall_refutation(
     counter = [0]
     names = rb.structure.names
 
-    def dfs(net: Network, idx: int, path: list[str]) -> Optional[VerifyResult]:
+    def dfs(net: Network, idx: int, path: list[str]) -> Optional[Verdict]:
         counter[0] += 1
         if counter[0] > max_states:
-            return VerifyResult("inconclusive", list(path), counter[0], "state budget")
+            return Verdict("inconclusive", list(path), "state budget",
+                           states=counter[0])
         if idx == len(moves):
-            return VerifyResult("counterexample", list(path), counter[0])
+            return Verdict("counterexample", list(path),
+                           "a reply line outlasts every refuter move",
+                           states=counter[0])
         move = moves[idx]
-        alive = False
         for reply in _exists_replies(net, alg, move):
-            alive = True
             if reply.n > net.n:
                 line = _move_line(idx + 1, reply, move, alg)
             else:
-                line = (
-                    f"round {idx + 1} | forall: ({move.x},{move.y},"
-                    f"{names[move.a]},{names[move.b]}) | exists: existing witness"
-                )
+                line = (f"{_forall_prefix(idx + 1, move, names)}"
+                        " | exists: existing witness")
             path.append(line)
             res = dfs(reply, idx + 1, path)
             if res is not None:
                 return res
             path.pop()
-        if not alive:
-            return None
         return None
 
     opening = initial_response(alg, 2)  # the white atom
@@ -597,14 +595,14 @@ def verify_forall_refutation(
     res = dfs(opening, 0, path)
     if res is not None:
         return res
-    return VerifyResult(
+    return Verdict(
         "verified",
         [
             "every reply line dies within "
             f"{len(moves) + 1} rounds: no injection of {rb.s} greens "
             f"into {rb.t} red indices exists (pigeonhole)"
         ],
-        counter[0],
+        states=counter[0],
     )
 
 

@@ -10,16 +10,18 @@ as the pebbled pairs form a partial isomorphism.
 The green-matching strategy answers non-green atoms by name, covers
 re-pebbled atoms, and answers a fresh green with the least green not
 currently pebbled; with at most as many pebbles as red indices it never
-runs out of greens.
+runs out of greens.  :func:`verify_pebble_strategy` returns a
+:class:`~relalg.verdict.Verdict`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .atoms import AtomStructure
 from .rainbow import Rainbow
+from .verdict import BudgetExhausted, Verdict
 
 DEFAULT_MAX_STATES = 5_000_000
 
@@ -129,22 +131,6 @@ class Cor33Strategy:
         raise PebbleStrategyFailure("no free green atom")
 
 
-@dataclass
-class PebbleVerifyResult:
-    status: str  # "verified" | "counterexample" | "inconclusive"
-    transcript: list = field(default_factory=list)
-    states: int = 0
-    reason: str = ""
-
-    @property
-    def verified(self) -> bool:
-        return self.status == "verified"
-
-
-class _Budget(Exception):
-    pass
-
-
 def _move_line(i, side, pebble, left, right, atom, reply, status) -> str:
     src, dst = (left, right) if side == "L" else (right, left)
     reply_name = dst.names[reply] if reply is not None else "-"
@@ -161,7 +147,7 @@ def verify_pebble_strategy(
     pebbles: int,
     rounds: int,
     max_states: int = DEFAULT_MAX_STATES,
-) -> PebbleVerifyResult:
+) -> Verdict:
     """Exhaustively play every first-player line to the given depth.
 
     Positions are memoized on the multiset of pebbled pairs (pebble
@@ -182,7 +168,7 @@ def verify_pebble_strategy(
         seen.add(key)
         states += 1
         if states > max_states:
-            raise _Budget
+            raise BudgetExhausted
         for side, struct in (("L", left), ("R", right)):
             mine = 0 if side == "L" else 1
             for pebble in range(pebbles):
@@ -219,13 +205,11 @@ def verify_pebble_strategy(
 
     try:
         losing = dfs({}, 0)
-    except _Budget:
-        return PebbleVerifyResult(
-            status="inconclusive", states=states, reason="state budget"
-        )
+    except BudgetExhausted:
+        return Verdict(status="inconclusive", states=states, reason="state budget")
     if losing is None:
-        return PebbleVerifyResult(status="verified", states=states)
-    return PebbleVerifyResult(
+        return Verdict(status="verified", states=states)
+    return Verdict(
         status="counterexample",
         transcript=losing,
         states=states,

@@ -5,15 +5,20 @@ set, the second player a subset of the other.  A palette is a set of
 colours; its cell in T (resp. T') is the set of points carrying exactly
 those colours.  The first player wins if some palette's two cells have
 different sizes with at least one below 2.
+
+:func:`verify_seurat_strategy` returns a :class:`~relalg.verdict.Verdict`;
+the exact solver :func:`brute_force_winner` returns the winner's name.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Optional
+
+from .verdict import Verdict
 
 Cell = tuple[frozenset, frozenset]
 
@@ -112,12 +117,12 @@ class SeuratSession:
     """A live game driven round by round by the balancing strategy.
 
     Callers feed the first player's subsets through :meth:`play` and get
-    the strategy's reply back; the position advances as a side effect.
+    :func:`lemma43_strategy`'s reply back; the position advances as a
+    side effect.
     """
 
-    def __init__(self, n: int, t_set, t2_set, strategy=lemma43_strategy):
+    def __init__(self, n: int, t_set, t2_set):
         self.pos = SeuratPosition.initial(n, t_set, t2_set)
-        self.strategy = strategy
 
     @property
     def rounds_left(self) -> int:
@@ -127,7 +132,7 @@ class SeuratSession:
         """Answer a first-player subset of T (side="T") or T' (side="T2")."""
         if self.rounds_left <= 0:
             raise SeuratStrategyFailure("session exhausted")
-        reply = self.strategy(self.pos, chosen, side)
+        reply = lemma43_strategy(self.pos, chosen, side)
         if side == "T":
             self.pos = apply_round(self.pos, chosen, reply)
         else:
@@ -178,17 +183,6 @@ def brute_force_winner(t_size: int, t2_size: int, n: int) -> str:
 # strategy verification
 
 
-@dataclass
-class SeuratVerifyResult:
-    status: str  # "verified" | "verified-sampled" | "counterexample"
-    transcript: list[str] = field(default_factory=list)
-    plays: int = 0
-
-    @property
-    def verified(self) -> bool:
-        return self.status.startswith("verified")
-
-
 def _transcript_line(pos: SeuratPosition, side: str, chosen, reply) -> str:
     cells = ", ".join(
         f"{p:0{max(pos.n, 1)}b}->({len(a)},{len(b)})"
@@ -200,7 +194,7 @@ def _transcript_line(pos: SeuratPosition, side: str, chosen, reply) -> str:
     )
 
 
-def _play_one_round(pos, side, chosen, strategy, require_dagger):
+def _play_one_round(pos, side, chosen, strategy):
     """Returns (next position, transcript line, failure lines or None)."""
     try:
         reply = strategy(pos, chosen, side)
@@ -214,9 +208,13 @@ def _play_one_round(pos, side, chosen, strategy, require_dagger):
     pal = forall_wins(nxt)
     if pal is not None:
         return None, None, [line, f"forall wins with palette {pal:b}"]
-    if require_dagger and not dagger_holds(nxt):
+    if not dagger_holds(nxt):
         return None, None, [line, "survival invariant broken"]
     return nxt, line, None
+
+
+def _loss(plays_won: int) -> str:
+    return f"strategy reached a losing position in play {plays_won + 1}"
 
 
 def verify_seurat_strategy(
@@ -227,20 +225,20 @@ def verify_seurat_strategy(
     samples: int = 0,
     seed: Optional[int] = None,
     strategy=lemma43_strategy,
-    require_dagger: bool = True,
-) -> SeuratVerifyResult:
+) -> Verdict:
     """Run every (or a sampled set of) opponent subset line against a strategy.
 
     Exhaustive mode enumerates both side choices and all subsets each
     round; sampled mode draws uniform side/subset choices from a fixed
-    seed.  The survival invariant is asserted after every round unless
-    ``require_dagger`` is disabled.
+    seed.  The survival invariant (:func:`dagger_holds`) is asserted
+    after every round.
     """
     t_set = frozenset(range(t_size))
     t2_set = frozenset(range(t2_size))
     start = SeuratPosition.initial(n, t_set, t2_set)
     if forall_wins(start) is not None:
-        return SeuratVerifyResult("counterexample", ["initial position lost"], 0)
+        return Verdict("counterexample", ["initial position lost"],
+                       "the initial position is lost")
     plays = [0]
 
     if mode == "exhaustive":
@@ -254,9 +252,7 @@ def verify_seurat_strategy(
                     chosen = frozenset(
                         g for i, g in enumerate(ground) if mask >> i & 1
                     )
-                    nxt, line, fail = _play_one_round(
-                        pos, side, chosen, strategy, require_dagger
-                    )
+                    nxt, line, fail = _play_one_round(pos, side, chosen, strategy)
                     if fail is not None:
                         return path + fail
                     bad = dfs(nxt, path + [line])
@@ -266,8 +262,8 @@ def verify_seurat_strategy(
 
         bad = dfs(start, [])
         if bad is not None:
-            return SeuratVerifyResult("counterexample", bad, plays[0])
-        return SeuratVerifyResult("verified", [], plays[0])
+            return Verdict("counterexample", bad, _loss(plays[0]), plays=plays[0])
+        return Verdict("verified", plays=plays[0])
 
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
@@ -281,11 +277,10 @@ def verify_seurat_strategy(
             side = rng.choice(("T", "T2"))
             ground = sorted(t_set if side == "T" else t2_set)
             chosen = frozenset(g for g in ground if rng.random() < 0.5)
-            pos, line, fail = _play_one_round(
-                pos, side, chosen, strategy, require_dagger
-            )
+            pos, line, fail = _play_one_round(pos, side, chosen, strategy)
             if fail is not None:
-                return SeuratVerifyResult("counterexample", path + fail, plays[0])
+                return Verdict("counterexample", path + fail, _loss(plays[0]),
+                               plays=plays[0])
             path.append(line)
         plays[0] += 1
-    return SeuratVerifyResult("verified-sampled", [], plays[0])
+    return Verdict("verified-sampled", plays=plays[0])

@@ -1,0 +1,39 @@
+"""The one result type every game verifier returns."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+
+@dataclass
+class Verdict:
+    """What a verifier concluded, with the play that shows it.
+
+    ``status`` is one of:
+
+    - ``"verified"``: every line of play to the stated depth was
+      explored (or pruned by a reduction the engine proves sound), and
+      the strategy under test won each one;
+    - ``"verified-sampled"``: every play of a seeded random sample was
+      won; nothing is claimed about the plays not drawn;
+    - ``"counterexample"``: ``transcript`` holds a line of play the
+      strategy under test loses;
+    - ``"inconclusive"``: a budget ran out first; ``reason`` names it.
+
+    ``states`` counts the positions a search expanded and ``plays`` the
+    plays run; each engine fills in the count it keeps.
+    """
+
+    status: str
+    transcript: list[str] = field(default_factory=list)
+    reason: str = ""
+    states: int = 0
+    plays: int = 0
+
+    @property
+    def verified(self) -> bool:
+        return self.status in ("verified", "verified-sampled")
+
+
+class BudgetExhausted(Exception):
+    """Raised inside a search when it has expanded more states than allowed."""

@@ -114,11 +114,10 @@ def test_criterion_4_refuter_attack_fizzles_on_representable(capsys):
 
 def test_criterion_5_colouring_strategy_verified(capsys):
     t0 = time.monotonic()
-    r1 = verify_seurat_strategy(4, 4, 1, require_dagger=True)
-    r2 = verify_seurat_strategy(8, 8, 2, require_dagger=True)
+    r1 = verify_seurat_strategy(4, 4, 1)
+    r2 = verify_seurat_strategy(8, 8, 2)
     r3 = verify_seurat_strategy(
         16, 16, 3, mode="sampled", samples=100_000, seed=20260826,
-        require_dagger=True,
     )
     dt = time.monotonic() - t0
     ok = (

@@ -11,7 +11,6 @@ from relalg.algebra import (
     bits,
     check_axioms,
     check_representation,
-    generate_subalgebra,
 )
 from relalg.atoms import AtomStructure, make_structure
 from relalg.networks import (
@@ -115,18 +114,6 @@ def test_element_type_guards(alg):
     e = Element(alg, 0b11)
     assert (e & ~e).mask == 0
     assert (e | ~e).mask == alg.one
-
-
-def test_generate_subalgebra_constants(alg):
-    sub = generate_subalgebra(alg, [])
-    assert {0, alg.one, alg.identity_mask,
-            alg.complement(alg.identity_mask)} <= sub
-    assert generate_subalgebra(alg, [alg.one]) == sub
-
-
-def test_generate_subalgebra_full(alg):
-    gens = [1 << a for a in range(alg.n_atoms)]
-    assert len(generate_subalgebra(alg, gens)) == alg.size
 
 
 # --- representations ---------------------------------------------------------

@@ -79,7 +79,8 @@ def test_netgame_verify_refuter(ras32, capsys):
 
 def test_netgame_refuter_fizzles_on_representable(ras22, capsys):
     assert main(["netgame", ras22, "--rounds", "5", "--verify-refuter"]) == FAIL
-    assert "counterexample" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "counterexample: a reply line outlasts every refuter move" in out
 
 
 def test_netgame_budget_inconclusive(ras22, capsys):
@@ -98,7 +99,8 @@ def test_pebble_budget_inconclusive(ras22, ras32, capsys):
 
 def test_efgame_counterexample(ras22, ras32, capsys):
     assert main(["efgame", ras22, ras32, "-n", "1"]) == FAIL
-    assert "counterexample" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "counterexample: strategy reached a losing position in play 145" in out
 
 
 def test_efgame_sampled_requires_seed(ras22, ras32, capsys):
@@ -129,6 +131,7 @@ def test_seurat_exhaustive(capsys):
 
 def test_seurat_losing_sizes(capsys):
     assert main(["seurat", "--t", "1", "--t2", "3", "-n", "1"]) == FAIL
+    assert "counterexample: the initial position is lost" in capsys.readouterr().out
 
 
 def test_seurat_solve(capsys):
@@ -142,6 +145,36 @@ def test_pebble_verified_and_losing(ras22, ras32, capsys):
     assert main(["pebble", ras22, ras32, "--pebbles", "2", "--rounds", "4"]) == OK
     assert "verified (exhaustive)" in capsys.readouterr().out
     assert main(["pebble", ras22, ras32, "--pebbles", "3", "--rounds", "3"]) == FAIL
+    out = capsys.readouterr().out
+    assert "counterexample: first player forces a non-isomorphic position" in out
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # usage errors exit from inside main
+        return exc.code
+
+
+@pytest.mark.parametrize("argv,code,stream,text", [
+    ("netgame b32.ras --rounds 4 --verify-exists", FAIL, "out",
+     "counterexample: the witness strategy has no reply"),
+    ("efgame b41.ras b51.ras -n 1", OK, "out",
+     "verified (exhaustive): 1536 plays, no losing position"),
+    ("efgame b41.ras b51.ras -n 2", USAGE, "err", "exhaustive mode supports n <= 1"),
+    ("efgame b22.ras b41.ras -n 1", USAGE, "err", "different red index sets"),
+    ("seurat --t 4 --t2 4 -n 2 --mode sampled --samples 50 --seed 1", OK, "out",
+     "verified (sampled): 50 plays survived"),
+    ("seurat --t 4 --t2 4 -n 1 --mode sampled", USAGE, "err", "--seed"),
+    ("seurat --t 2 --t2 3 -n 1", FAIL, "out",
+     "counterexample: strategy reached a losing position in play 2"),
+])
+def test_verdict_exit_codes(tmp_path, monkeypatch, capsys, argv, code, stream, text):
+    for s, t in ((2, 2), (3, 2), (4, 1), (5, 1)):
+        rasfile.dump(build_rainbow(s, t), tmp_path / f"b{s}{t}.ras")
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(argv.split()) == code
+    assert text in getattr(capsys.readouterr(), stream)
 
 
 def test_eval_formula(ras22, capsys):

@@ -302,15 +302,14 @@ def test_verify_exhaustive_guards():
 
 
 def test_cells_match_generated_subalgebra():
-    from relalg import generate_subalgebra
-
+    # the A side of the pair closure is the subalgebra elem generates
     elem = (1 << RB22.green(0)) | (1 << 3)
     pos = EFPosition(ALG22, Algebra(RB22.structure), ((elem, elem),))
     v = position_winner(pos)
     assert v.exists_ok
     atoms = sorted(a for a, _ in v.cells)
-    sub = generate_subalgebra(ALG22, [elem])
-    assert sorted(min_nonzero for min_nonzero in _subalgebra_atoms(sub)) == atoms
+    sub = {a for a, _ in pair_closure(pos).pairs}
+    assert _subalgebra_atoms(sub) == atoms
 
 
 def _subalgebra_atoms(elements):
