@@ -108,9 +108,6 @@ class Algebra:
             out.append(list(pick(row)))
         return out
 
-    def atom_mask(self, a: int) -> int:
-        return 1 << a
-
     def elem_name(self, x: int) -> str:
         if x == 0:
             return "0"

@@ -39,6 +39,21 @@ def _rainbow_of(st) -> Rainbow:
     return Rainbow(s=p.s, t=p.t, structure=st)
 
 
+def _at_least(least: int):
+    """An argparse type for a count: an int no smaller than ``least``."""
+    def count(text: str) -> int:  # argparse reports "invalid count value: 'x'"
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"invalid count {value}: must be at least {least}")
+        return value
+
+    return count
+
+
+COUNT, POSITIVE = _at_least(0), _at_least(1)
+
+
 def _finish(res, verified_line: str) -> int:
     """Print a verifier's transcript and verdict line; return its exit code."""
     for line in res.transcript:
@@ -184,8 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rainbow", help="write a rainbow structure file")
-    p.add_argument("--s", type=int, required=True, help="number of greens")
-    p.add_argument("--t", type=int, required=True, help="number of red indices")
+    p.add_argument("--s", type=POSITIVE, required=True, help="number of greens")
+    p.add_argument("--t", type=POSITIVE, required=True,
+                   help="number of red indices")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_rainbow)
 
@@ -200,45 +216,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("netgame", help="verify a network game strategy")
     p.add_argument("file")
-    p.add_argument("--rounds", type=int, required=True)
+    p.add_argument("--rounds", type=COUNT, required=True)
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--verify-exists", action="store_true")
     grp.add_argument("--verify-refuter", action="store_true")
-    p.add_argument("--budget", type=int, default=networks.DEFAULT_MAX_STATES)
+    p.add_argument("--budget", type=COUNT, default=networks.DEFAULT_MAX_STATES)
     p.set_defaults(fn=cmd_netgame)
 
     p = sub.add_parser("efgame", help="verify the equivalence game strategy")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("-n", type=int, required=True, dest="n")
+    p.add_argument("-n", type=COUNT, required=True, dest="n")
     p.add_argument("--mode", choices=("exhaustive", "sampled"),
                    default="exhaustive")
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=POSITIVE, default=10_000)
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_efgame)
 
     p = sub.add_parser("seurat", help="verify the colouring game strategy")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--t2", type=int, required=True)
-    p.add_argument("-n", type=int, required=True, dest="n")
+    p.add_argument("--t", type=COUNT, required=True)
+    p.add_argument("--t2", type=COUNT, required=True)
+    p.add_argument("-n", type=COUNT, required=True, dest="n")
     p.add_argument("--mode", choices=("exhaustive", "sampled"),
                    default="exhaustive")
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=POSITIVE, default=10_000)
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_seurat)
 
     p = sub.add_parser("seurat-solve", help="exact colouring game value")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--t2", type=int, required=True)
-    p.add_argument("-n", type=int, required=True, dest="n")
+    p.add_argument("--t", type=COUNT, required=True)
+    p.add_argument("--t2", type=COUNT, required=True)
+    p.add_argument("-n", type=COUNT, required=True, dest="n")
     p.set_defaults(fn=cmd_seurat_solve)
 
     p = sub.add_parser("pebble", help="verify the pebble game strategy")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--pebbles", type=int, required=True)
-    p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--budget", type=int, default=pebble.DEFAULT_MAX_STATES)
+    p.add_argument("--pebbles", type=COUNT, required=True)
+    p.add_argument("--rounds", type=COUNT, required=True)
+    p.add_argument("--budget", type=COUNT, default=pebble.DEFAULT_MAX_STATES)
     p.set_defaults(fn=cmd_pebble)
 
     p = sub.add_parser("eval", help="evaluate a sentence in the complex "
@@ -246,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--formula")
-    grp.add_argument("--atleast", type=int,
+    grp.add_argument("--atleast", type=POSITIVE,
                      help="shortcut: 'has at least K atoms' sentence")
     p.set_defaults(fn=cmd_eval)
 

@@ -358,22 +358,38 @@ def _round_line(i: int, side: str, elem: int, resp: int, status: str) -> str:
     )
 
 
-def _play_out(alg_a, alg_b, strategy, n, moves) -> tuple:
-    """Run one play from a fixed first-player move list; returns
-    (ok, transcript lines)."""
+def _play_out(alg_a, alg_b, strategy, n, moves) -> Optional[list[str]]:
+    """Run one play from a fixed first-player move list; None if the
+    strategy survives it, else the transcript of the lost play."""
     ctx = strategy.start(n)
     pos = EFPosition(alg_a, alg_b)
-    lines = []
     for i, (side, elem) in enumerate(moves):
         resp = strategy.respond(ctx, side, elem)
-        pair = (elem, resp) if side == "A" else (resp, elem)
-        pos = pos.extended(*pair)
-        verdict = position_winner(pos)
-        status = "ok" if verdict.exists_ok else "forall wins"
-        lines.append(_round_line(i, side, elem, resp, status))
-        if not verdict.exists_ok:
-            return False, lines
-    return True, lines
+        pos = pos.extended(*((elem, resp) if side == "A" else (resp, elem)))
+        if not position_winner(pos).exists_ok:
+            return [
+                _round_line(j, s, e, b if s == "A" else a,
+                            "ok" if j < i else "forall wins")
+                for j, ((s, e), (a, b)) in enumerate(zip(moves, pos.pairs))
+            ]
+    return None
+
+
+def _sampled_moves(alg_a, alg_b, n: int, samples: int, rng: random.Random):
+    """Seeded first-player move lists: n moves a play, each on a random
+    side, never repeating an element of that side within the play."""
+    for _ in range(samples):
+        moves = []
+        used = {"A": set(), "B": set()}
+        for _ in range(n):
+            side = rng.choice(("A", "B"))
+            size = alg_a.size if side == "A" else alg_b.size
+            elem = rng.randrange(size)
+            while elem in used[side]:
+                elem = rng.randrange(size)
+            used[side].add(elem)
+            moves.append((side, elem))
+        yield moves
 
 
 def verify_ef_strategy(
@@ -400,46 +416,23 @@ def verify_ef_strategy(
             )
         if max(alg_a.size, alg_b.size) > EXHAUSTIVE_MAX_SIZE:
             raise ValueError("algebra too large for exhaustive mode; use sampled")
-        plays = 0
-        for side, alg in (("A", alg_a), ("B", alg_b)):
-            for elem in range(alg.size):
-                moves = [(side, elem)] if n >= 1 else []
-                ok, lines = _play_out(alg_a, alg_b, strategy, n, moves)
-                plays += 1
-                if not ok:
-                    return Verdict(
-                        status="counterexample",
-                        transcript=lines,
-                        plays=plays,
-                        reason=f"strategy reached a losing position in play {plays}",
-                    )
-                if n == 0:
-                    return Verdict(status="verified", plays=1)
-        return Verdict(status="verified", plays=plays)
-
-    if mode == "sampled":
+        move_lists = [[]] if n <= 0 else (
+            [(side, elem)]
+            for side, alg in (("A", alg_a), ("B", alg_b))
+            for elem in range(alg.size)
+        )
+    elif mode == "sampled":
         if seed is None:
             raise ValueError("sampled mode requires an explicit seed")
-        rng = random.Random(seed)
-        for play in range(samples):
-            moves = []
-            used = {"A": set(), "B": set()}
-            for _ in range(n):
-                side = rng.choice(("A", "B"))
-                size = alg_a.size if side == "A" else alg_b.size
-                elem = rng.randrange(size)
-                while elem in used[side]:
-                    elem = rng.randrange(size)
-                used[side].add(elem)
-                moves.append((side, elem))
-            ok, lines = _play_out(alg_a, alg_b, strategy, n, moves)
-            if not ok:
-                return Verdict(
-                    status="counterexample",
-                    transcript=lines,
-                    plays=play + 1,
-                    reason=f"strategy reached a losing position in play {play + 1}",
-                )
-        return Verdict(status="verified-sampled", plays=samples)
-
-    raise ValueError(f"unknown mode {mode!r}")
+        move_lists = _sampled_moves(alg_a, alg_b, n, samples, random.Random(seed))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    plays = 0
+    for moves in move_lists:
+        plays += 1
+        lost = _play_out(alg_a, alg_b, strategy, n, moves)
+        if lost is not None:
+            return Verdict("counterexample", lost, plays=plays,
+                           reason=f"strategy reached a losing position in play {plays}")
+    status = "verified" if mode == "exhaustive" else "verified-sampled"
+    return Verdict(status=status, plays=plays)

@@ -377,66 +377,64 @@ def verify_exists_strategy(
     DEFAULT_MAX_NODES nodes or more than ``max_states`` states are
     explored first.
     """
-    alg = Algebra(rb.structure)
+    st = rb.structure
+    alg = Algebra(st)
     visited: set[bytes] = set()
     counter = [0]
 
-    def dfs(net: Network, book: Book, depth: int, path: list[str]) -> Optional[Verdict]:
+    def dfs(net: Network, book: Book, depth: int) -> Optional[Verdict]:
         if depth >= rounds:
             return None
         if net.n >= DEFAULT_MAX_NODES:
-            return Verdict("inconclusive", list(path), "node budget",
-                           states=counter[0])
+            return Verdict("inconclusive", reason="node budget", states=counter[0])
         for move in legal_moves(net, alg):
             # (x,y,a,b) and (y,x,b~,a~) demand the same witness; do one
-            st = rb.structure
             mirror = (move.y, move.x, st.conv[move.b], st.conv[move.a])
             if mirror < (move.x, move.y, move.a, move.b):
                 continue
             try:
                 net2, book2 = rainbow_exists_strategy(rb, net, book, move)
             except StrategyFailure as exc:
-                path.append(
-                    f"{_forall_prefix(depth, move, st.names)} | exists: "
-                    f"strategy failure: {exc}"
-                )
-                return Verdict("counterexample", list(path),
-                               "the witness strategy has no reply",
-                               states=counter[0])
-            path.append(_move_line(depth, net2, move, alg))
+                line = (f"{_forall_prefix(depth, move, st.names)} | exists: "
+                        f"strategy failure: {exc}")
+                return Verdict("counterexample", [line],
+                               "the witness strategy has no reply", states=counter[0])
             tri = coherent(net2, alg)
             if tri is not None:
-                path.append(f"incoherent triangle {tri}")
-                return Verdict("counterexample", list(path),
-                               "the witness strategy made an incoherent network",
-                               states=counter[0])
-            if check_invariants:
-                assert_strategy_invariants(rb, net, net2, book2, move)
-            key = canonical_state(net2, book2)
-            if key not in visited:
+                res = Verdict("counterexample", [f"incoherent triangle {tri}"],
+                              "the witness strategy made an incoherent network",
+                              states=counter[0])
+            else:
+                if check_invariants:
+                    assert_strategy_invariants(rb, net, net2, book2, move)
+                key = canonical_state(net2, book2)
+                if key in visited:
+                    continue
                 visited.add(key)
                 counter[0] += 1
                 if counter[0] > max_states:
-                    return Verdict("inconclusive", list(path), "state budget",
-                                   states=counter[0])
-                res = dfs(net2, book2, depth + 1, path)
-                if res is not None:
-                    return res
-            path.pop()
+                    res = Verdict("inconclusive", reason="state budget",
+                                  states=counter[0])
+                else:
+                    res = dfs(net2, book2, depth + 1)
+                    if res is None:
+                        continue
+            res.transcript.insert(0, _move_line(depth, net2, move, alg))
+            return res
         return None
 
-    for atom in range(rb.structure.n_atoms):
+    for atom in range(st.n_atoms):
         net = initial_response(alg, atom)
         if coherent(net, alg) is not None:
             return Verdict(
                 "counterexample",
-                [f"round 0 | opening {rb.structure.names[atom]} incoherent"],
+                [f"round 0 | opening {st.names[atom]} incoherent"],
                 "an opening network is incoherent",
                 states=counter[0],
             )
-        path = [f"round 0 | forall: atom {rb.structure.names[atom]}"]
-        res = dfs(net, {}, 1, path)
+        res = dfs(net, {}, 1)
         if res is not None:
+            res.transcript.insert(0, f"round 0 | forall: atom {st.names[atom]}")
             return res
     return Verdict("verified", states=counter[0])
 
@@ -492,7 +490,11 @@ def _exists_replies(net: Network, alg: Algebra, move: ForallMove):
     """All coherent replies to a move: an existing witness, or one new node.
 
     New-node labellings are enumerated one edge at a time, pruning as
-    soon as a triangle is incoherent.
+    soon as a triangle is incoherent.  Only triangles are checked: the
+    new loop and the converse labels are right by construction in
+    :func:`_new_node_labels`, and the old network is coherent.  With no
+    node outside {x, y} the triangles inside {x, y, z} are all there is,
+    so the forced-edge check alone decides that candidate.
     """
     st = alg.structure
     n = net.n
@@ -536,18 +538,11 @@ def _exists_replies(net: Network, alg: Algebra, move: ForallMove):
         base[w * m + z] = 0
         base[z * m + w] = 0
 
-    if not todo:
-        cand = Network(m, tuple(base))
-        if coherent(cand, alg) is None:
-            yield cand
-    else:
-        # validate the forced edges against each other first
-        seed = Network(m, tuple(base))
-        # only triangles within {x, y, z} are fully labelled so far
-        for (u, v, t) in itertools.product((x, y, z), repeat=3):
-            if not comp[seed.label(u, v)][seed.label(v, t)] >> seed.label(u, t) & 1:
-                return
-        yield from assign(0)
+    # the forced edges against each other, then each later edge in assign
+    for (u, v, t) in itertools.product((x, y, z), repeat=3):
+        if not comp[base[u * m + v]][base[v * m + t]] >> base[u * m + t] & 1:
+            return
+    yield from assign(0)
 
 
 def verify_forall_refutation(
@@ -567,33 +562,30 @@ def verify_forall_refutation(
     counter = [0]
     names = rb.structure.names
 
-    def dfs(net: Network, idx: int, path: list[str]) -> Optional[Verdict]:
+    def dfs(net: Network, idx: int) -> Optional[Verdict]:
         counter[0] += 1
         if counter[0] > max_states:
-            return Verdict("inconclusive", list(path), "state budget",
-                           states=counter[0])
+            return Verdict("inconclusive", reason="state budget", states=counter[0])
         if idx == len(moves):
-            return Verdict("counterexample", list(path),
-                           "a reply line outlasts every refuter move",
+            return Verdict("counterexample",
+                           reason="a reply line outlasts every refuter move",
                            states=counter[0])
         move = moves[idx]
         for reply in _exists_replies(net, alg, move):
-            if reply.n > net.n:
-                line = _move_line(idx + 1, reply, move, alg)
-            else:
-                line = (f"{_forall_prefix(idx + 1, move, names)}"
-                        " | exists: existing witness")
-            path.append(line)
-            res = dfs(reply, idx + 1, path)
+            res = dfs(reply, idx + 1)
             if res is not None:
+                if reply.n > net.n:
+                    line = _move_line(idx + 1, reply, move, alg)
+                else:
+                    line = (f"{_forall_prefix(idx + 1, move, names)}"
+                            " | exists: existing witness")
+                res.transcript.insert(0, line)
                 return res
-            path.pop()
         return None
 
-    opening = initial_response(alg, 2)  # the white atom
-    path = ["round 0 | forall: atom w"]
-    res = dfs(opening, 0, path)
+    res = dfs(initial_response(alg, 2), 0)  # opening on the white atom
     if res is not None:
+        res.transcript.insert(0, "round 0 | forall: atom w")
         return res
     return Verdict(
         "verified",

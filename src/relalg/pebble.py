@@ -186,20 +186,15 @@ def verify_pebble_strategy(
                     pair = (atom, reply) if side == "L" else (reply, atom)
                     pos[pebble] = pair
                     ok, reason = partial_iso(left, right, pos)
-                    line = _move_line(depth, side, pebble, left, right,
-                                      atom, pair[1 - mine],
-                                      "ok" if ok else f"breach: {reason}")
-                    if not ok:
-                        bad = [line]
-                    else:
-                        bad = dfs(pos, depth + 1)
-                        if bad is not None:
-                            bad = [line] + bad
+                    bad = dfs(pos, depth + 1) if ok else []
                     if old is None:
                         del pos[pebble]
                     else:
                         pos[pebble] = old
                     if bad is not None:
+                        bad.insert(0, _move_line(
+                            depth, side, pebble, left, right, atom,
+                            pair[1 - mine], "ok" if ok else f"breach: {reason}"))
                         return bad
         return None
 

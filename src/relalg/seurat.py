@@ -36,9 +36,6 @@ class SeuratPosition:
         t_set, t2_set = frozenset(t_set), frozenset(t2_set)
         return cls(n=n, r=0, cells={p: (t_set, t2_set) for p in range(1 << n)})
 
-    def cell_sizes(self) -> list[tuple[int, int]]:
-        return [(len(a), len(b)) for a, b in self.cells.values()]
-
 
 def apply_round(pos: SeuratPosition, t_r, t2_r) -> SeuratPosition:
     """Split every palette cell by membership in the round's subsets."""
@@ -195,7 +192,8 @@ def _transcript_line(pos: SeuratPosition, side: str, chosen, reply) -> str:
 
 
 def _play_one_round(pos, side, chosen, strategy):
-    """Returns (next position, transcript line, failure lines or None)."""
+    """Returns (next position, reply, None) when the strategy survives the
+    round, else (None, None, the round's losing lines)."""
     try:
         reply = strategy(pos, chosen, side)
     except SeuratStrategyFailure as exc:
@@ -204,13 +202,12 @@ def _play_one_round(pos, side, chosen, strategy):
         nxt = apply_round(pos, chosen, reply)
     else:
         nxt = apply_round(pos, reply, chosen)
-    line = _transcript_line(nxt, side, chosen, reply)
     pal = forall_wins(nxt)
-    if pal is not None:
-        return None, None, [line, f"forall wins with palette {pal:b}"]
-    if not dagger_holds(nxt):
-        return None, None, [line, "survival invariant broken"]
-    return nxt, line, None
+    if pal is None and dagger_holds(nxt):
+        return nxt, reply, None
+    lost = ("survival invariant broken" if pal is None
+            else f"forall wins with palette {pal:b}")
+    return None, None, [_transcript_line(nxt, side, chosen, reply), lost]
 
 
 def _loss(plays_won: int) -> str:
@@ -243,7 +240,7 @@ def verify_seurat_strategy(
 
     if mode == "exhaustive":
 
-        def dfs(pos: SeuratPosition, path) -> Optional[list[str]]:
+        def dfs(pos: SeuratPosition) -> Optional[list[str]]:
             if pos.r == pos.n:
                 plays[0] += 1
                 return None
@@ -252,15 +249,16 @@ def verify_seurat_strategy(
                     chosen = frozenset(
                         g for i, g in enumerate(ground) if mask >> i & 1
                     )
-                    nxt, line, fail = _play_one_round(pos, side, chosen, strategy)
-                    if fail is not None:
-                        return path + fail
-                    bad = dfs(nxt, path + [line])
-                    if bad is not None:
-                        return bad
+                    nxt, reply, bad = _play_one_round(pos, side, chosen, strategy)
+                    if bad is None:
+                        bad = dfs(nxt)
+                        if bad is None:
+                            continue
+                        bad.insert(0, _transcript_line(nxt, side, chosen, reply))
+                    return bad
             return None
 
-        bad = dfs(start, [])
+        bad = dfs(start)
         if bad is not None:
             return Verdict("counterexample", bad, _loss(plays[0]), plays=plays[0])
         return Verdict("verified", plays=plays[0])
@@ -272,15 +270,16 @@ def verify_seurat_strategy(
     rng = random.Random(seed)
     for _ in range(samples):
         pos = start
-        path: list[str] = []
+        played = []  # (position after, side, chosen, reply) per round
         for _round in range(n):
             side = rng.choice(("T", "T2"))
             ground = sorted(t_set if side == "T" else t2_set)
             chosen = frozenset(g for g in ground if rng.random() < 0.5)
-            pos, line, fail = _play_one_round(pos, side, chosen, strategy)
-            if fail is not None:
-                return Verdict("counterexample", path + fail, _loss(plays[0]),
+            pos, reply, bad = _play_one_round(pos, side, chosen, strategy)
+            if bad is not None:
+                lines = [_transcript_line(*rnd) for rnd in played]
+                return Verdict("counterexample", lines + bad, _loss(plays[0]),
                                plays=plays[0])
-            path.append(line)
+            played.append((pos, side, chosen, reply))
         plays[0] += 1
     return Verdict("verified-sampled", plays=plays[0])

@@ -20,6 +20,12 @@ class Verdict:
       strategy under test loses;
     - ``"inconclusive"``: a budget ran out first; ``reason`` names it.
 
+    ``transcript`` is the one reported line of play, a text line per
+    move: the line lost, or the line a budget ran out on (a verified
+    refutation holds one summary line).  It is formatted only as the
+    search unwinds, each frame putting its own move's line in front, so
+    no move of a won line is ever formatted.
+
     ``states`` counts the positions a search expanded and ``plays`` the
     plays run; each engine fills in the count it keeps.
     """

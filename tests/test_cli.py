@@ -168,6 +168,17 @@ def _exit_code(argv) -> int:
     ("seurat --t 4 --t2 4 -n 1 --mode sampled", USAGE, "err", "--seed"),
     ("seurat --t 2 --t2 3 -n 1", FAIL, "out",
      "counterexample: strategy reached a losing position in play 2"),
+    # negative or empty counts are usage errors, not tracebacks or hangs
+    ("seurat --t 4 --t2 4 -n -1", USAGE, "err",
+     "argument -n: invalid count -1: must be at least 0"),
+    ("eval b22.ras --atleast 0", USAGE, "err",
+     "argument --atleast: invalid count 0: must be at least 1"),
+    ("rainbow --s 0 --t 2 --out x.ras", USAGE, "err",
+     "argument --s: invalid count 0: must be at least 1"),
+    ("seurat-solve --t 4 --t2 4 -n -1", USAGE, "err",
+     "argument -n: invalid count -1: must be at least 0"),
+    ("netgame b22.ras --rounds -1 --verify-exists", USAGE, "err",
+     "argument --rounds: invalid count -1: must be at least 0"),
 ])
 def test_verdict_exit_codes(tmp_path, monkeypatch, capsys, argv, code, stream, text):
     for s, t in ((2, 2), (3, 2), (4, 1), (5, 1)):

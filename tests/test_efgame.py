@@ -74,7 +74,10 @@ def test_refinement_agrees_with_pair_closure_on_random_positions():
             for _ in range(rng.randrange(1, 3))
         )
         pos = EFPosition(ALG22, b, pairs)
-        assert position_winner(pos).exists_ok == pair_closure(pos).is_isomorphism
+        v = position_winner(pos)
+        assert v.exists_ok == pair_closure(pos).is_isomorphism
+        if v.exists_ok:
+            assert set(v.cells) == _closure_cells(pos)
 
 
 def test_appending_pairs_never_helps_exists():
@@ -189,6 +192,8 @@ def test_refinement_agrees_with_pair_closure_on_unequal_pair():
     for pos in _sampled_positions(rb_a, rb_b, alg_a, alg_b, 200, rng):
         v = position_winner(pos)
         assert v.exists_ok == pair_closure(pos).is_isomorphism
+        if v.exists_ok:
+            assert set(v.cells) == _closure_cells(pos)
         winners.add(v.winner)
     assert winners == {"exists", "forall"}
 
@@ -320,3 +325,11 @@ def _subalgebra_atoms(elements):
         for e in elems
         if not any(x and x != e and x & e == x for x in elems)
     ]
+
+
+def _closure_cells(pos):
+    """The pairs of the pair closure whose A side is an atom of the
+    generated A-side subalgebra: the atom cells an "exists" verdict names."""
+    pairs = pair_closure(pos).pairs
+    atoms = set(_subalgebra_atoms({a for a, _ in pairs}))
+    return {(a, b) for a, b in pairs if a in atoms}
