@@ -13,8 +13,7 @@ import argparse
 import sys
 
 from . import algebra, efgame, logic, networks, pebble, rasfile, seurat
-from .rainbow import Rainbow, build_rainbow, predicted_representable, \
-    rainbow_params_from_names
+from .rainbow import Rainbow, build_rainbow, predicted_representable
 
 OK, FAIL, USAGE, INCONCLUSIVE = 0, 1, 2, 3
 
@@ -32,11 +31,10 @@ def _load(path: str):
 
 def _rainbow_of(st) -> Rainbow:
     try:
-        p = rainbow_params_from_names(st.names)
+        return Rainbow.of(st)
     except ValueError:
         print("structure is not a rainbow structure", file=sys.stderr)
         sys.exit(USAGE)
-    return Rainbow(s=p.s, t=p.t, structure=st)
 
 
 def _at_least(least: int):

@@ -30,7 +30,7 @@ from typing import Optional
 from .algebra import Algebra
 from .rainbow import Rainbow
 from .seurat import SeuratSession
-from .verdict import BudgetExhausted, Verdict
+from .verdict import BudgetExhausted, Verdict, check_counts
 
 EXHAUSTIVE_MAX_ROUNDS = 1
 EXHAUSTIVE_MAX_SIZE = 1 << 13
@@ -221,6 +221,7 @@ def brute_force_winner(
     does not depend on the order of the rounds.  Intended for algebras
     of a handful of atoms only.
     """
+    check_counts(n=n, max_states=max_states)
     alg_a, alg_b = pos.alg_a, pos.alg_b
     memo: dict = {}
     states = 0
@@ -285,53 +286,16 @@ class MirrorStrategy:
         return elem
 
 
-def _nongreen_map(src: Rainbow, dst: Rainbow):
-    """Mask transfer for non-green atoms between two same-S structures.
-
-    The fixed atom ordering (identity, black, white, yellow, greens,
-    reds) makes this a pure bit shuffle: the first four atoms keep
-    their positions and the red block shifts by the difference in the
-    number of greens.
-    """
-    if src.t != dst.t:
-        raise ValueError("structures have different red index sets")
-    low = (1 << 4) - 1
-    reds_src = ((1 << src.t**2) - 1) << (4 + src.s)
-
-    def transfer(x: int) -> int:
-        non_green = x & ~src.green_mask
-        if non_green & ~(low | reds_src):
-            raise ValueError("mask has atoms outside the structure")
-        reds = (non_green >> (4 + src.s)) << (4 + dst.s)
-        return (non_green & low) | reds
-
-    return transfer
-
-
-def prop44_strategy(
-    rb_src: Rainbow, rb_dst: Rainbow, elem: int, session: SeuratSession, side: str
-) -> int:
-    """One response of the colouring-game simulation strategy.
-
-    ``elem`` is the first player's element of the *source* structure
-    (side "T" = the session's left-hand set).  Its green atoms name a
-    subset of the source's green index set; that subset is played into
-    the colouring session, and the response is the identically-named
-    non-green part plus the greens indexed by the session's reply.
-    """
-    chosen = frozenset(
-        rb_src.green_index(a) for a in rb_src.greens if elem >> a & 1
-    )
-    reply = session.play(side, chosen)
-    out = _nongreen_map(rb_src, rb_dst)(elem)
-    for i in reply:
-        out |= 1 << rb_dst.green(i)
-    return out
-
-
 class Prop44Strategy:
     """Second-player strategy for a pair of structures sharing their
-    non-green atoms, driven by one colouring session per play."""
+    non-green atoms, driven by one colouring session per play.
+
+    The green atoms of the first player's element name a subset of its
+    structure's green index set; that subset is played into the
+    colouring session (side "T" for structure A, "T2" for B), and the
+    response is the identically-named non-green part plus the greens
+    indexed by the session's reply.
+    """
 
     def __init__(self, rb_a: Rainbow, rb_b: Rainbow):
         if rb_a.t != rb_b.t:
@@ -342,9 +306,14 @@ class Prop44Strategy:
         return SeuratSession(n, range(self.rb_a.s), range(self.rb_b.s))
 
     def respond(self, session: SeuratSession, side: str, elem: int) -> int:
-        if side == "A":
-            return prop44_strategy(self.rb_a, self.rb_b, elem, session, "T")
-        return prop44_strategy(self.rb_b, self.rb_a, elem, session, "T2")
+        src, dst, set_side = ((self.rb_a, self.rb_b, "T") if side == "A"
+                              else (self.rb_b, self.rb_a, "T2"))
+        chosen = frozenset(src.green_index(a) for a in src.greens if elem >> a & 1)
+        reply = session.play(set_side, chosen)
+        out = src.rename_nongreens(dst, elem)
+        for i in reply:
+            out |= 1 << dst.green(i)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +378,7 @@ def verify_ef_strategy(
     larger runs must use sampled mode, whose verdict is labelled
     "verified-sampled" and never counts as exhaustive.
     """
+    check_counts(n=n)
     if mode == "exhaustive":
         if n > EXHAUSTIVE_MAX_ROUNDS:
             raise ValueError(
@@ -416,7 +386,7 @@ def verify_ef_strategy(
             )
         if max(alg_a.size, alg_b.size) > EXHAUSTIVE_MAX_SIZE:
             raise ValueError("algebra too large for exhaustive mode; use sampled")
-        move_lists = [[]] if n <= 0 else (
+        move_lists = [[]] if n == 0 else (
             [(side, elem)]
             for side, alg in (("A", alg_a), ("B", alg_b))
             for elem in range(alg.size)
@@ -424,6 +394,7 @@ def verify_ef_strategy(
     elif mode == "sampled":
         if seed is None:
             raise ValueError("sampled mode requires an explicit seed")
+        check_counts(1, samples=samples)
         move_lists = _sampled_moves(alg_a, alg_b, n, samples, random.Random(seed))
     else:
         raise ValueError(f"unknown mode {mode!r}")

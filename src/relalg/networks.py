@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Algebra
-from .rainbow import Rainbow
-from .verdict import Verdict
+from .rainbow import BLACK, WHITE, YELLOW, Rainbow
+from .verdict import Verdict, check_counts
 
 DEFAULT_MAX_NODES = 12
 DEFAULT_MAX_STATES = 10_000_000
@@ -121,7 +121,7 @@ def red_clique(net: Network, rb: Rainbow, x: int, y: int) -> list[int]:
     return [
         z
         for z in range(n)
-        if rb.is_green(lab[x * n + z]) and lab[y * n + z] == 3
+        if rb.is_green(lab[x * n + z]) and lab[y * n + z] == YELLOW
     ]
 
 
@@ -242,14 +242,13 @@ def rainbow_exists_strategy(
     n = net.n
     lab = net.lab
     x, y, a, b = move.x, move.y, move.a, move.b
-    YEL = 3
 
     # which red clique (if any) the new node joins
     ckey = None
-    if rb.is_green(a) and b == YEL:
+    if rb.is_green(a) and b == YELLOW:
         ckey = (x, y)
         move_green = a
-    elif a == YEL and rb.is_green(b):
+    elif a == YELLOW and rb.is_green(b):
         ckey = (y, x)
         move_green = b
     members: list[int] = []
@@ -278,11 +277,11 @@ def rainbow_exists_strategy(
         green_x = rb.is_green(la) and rb.is_green(a)
         green_y = rb.is_green(lb) and rb.is_green(b)
         if not green_x and not green_y:
-            c = 2  # white
-        elif green_x and not (lb == YEL and b == YEL):
-            c = 1  # black
-        elif green_y and not (la == YEL and a == YEL):
-            c = 1
+            c = WHITE
+        elif green_x and not (lb == YELLOW and b == YELLOW):
+            c = BLACK
+        elif green_y and not (la == YELLOW and a == YELLOW):
+            c = BLACK
         else:
             # w is in the clique the new node joins
             assert h is not None and w in members
@@ -377,6 +376,7 @@ def verify_exists_strategy(
     DEFAULT_MAX_NODES nodes or more than ``max_states`` states are
     explored first.
     """
+    check_counts(rounds=rounds, max_states=max_states)
     st = rb.structure
     alg = Algebra(st)
     visited: set[bytes] = set()
@@ -455,7 +455,7 @@ def assert_strategy_invariants(
         if w in (move.x, move.y):
             continue
         c = net2.label(w, z)
-        assert not rb.is_green(c) and c != 3, "strategy used green/yellow"
+        assert not rb.is_green(c) and c != YELLOW, "strategy used green/yellow"
     # every recorded clique satisfies condition (1); membership is unique
     in_clique = set()
     for x in range(m):
@@ -483,7 +483,7 @@ def assert_strategy_invariants(
 
 def rainbow_refuter_moves(rb: Rainbow) -> list[ForallMove]:
     """After an opening on the white atom: attach each green via yellow."""
-    return [ForallMove(0, 1, rb.green(i), 3) for i in range(rb.s)]
+    return [ForallMove(0, 1, rb.green(i), YELLOW) for i in range(rb.s)]
 
 
 def _exists_replies(net: Network, alg: Algebra, move: ForallMove):
@@ -556,6 +556,7 @@ def verify_forall_refutation(
     exists — for more greens than red indices this is forced because no
     injection of green indices into red indices exists (pigeonhole).
     """
+    check_counts(max_rounds=max_rounds, max_states=max_states)
     alg = Algebra(rb.structure)
     # the opening is round 0, so max_rounds leaves max_rounds - 1 moves
     moves = rainbow_refuter_moves(rb)[: max(max_rounds - 1, 0)]
@@ -583,7 +584,7 @@ def verify_forall_refutation(
                 return res
         return None
 
-    res = dfs(initial_response(alg, 2), 0)  # opening on the white atom
+    res = dfs(initial_response(alg, WHITE), 0)
     if res is not None:
         res.transcript.insert(0, "round 0 | forall: atom w")
         return res

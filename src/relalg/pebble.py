@@ -21,7 +21,7 @@ from typing import Optional
 
 from .atoms import AtomStructure
 from .rainbow import Rainbow
-from .verdict import BudgetExhausted, Verdict
+from .verdict import BudgetExhausted, Verdict, check_counts
 
 DEFAULT_MAX_STATES = 5_000_000
 
@@ -117,8 +117,7 @@ class Cor33Strategy:
             if k != pebble and pair[mine] == atom:
                 return pair[theirs]
         if not src.is_green(atom):
-            # the fixed atom ordering identifies non-greens by a shift
-            return atom if atom < 4 else atom - src.s + dst.s
+            return src.rename_nongreens(dst, 1 << atom).bit_length() - 1
         # the moved pebble vacates its old pair, so pebble itself is skipped
         taken = {
             pair[theirs]
@@ -155,6 +154,7 @@ def verify_pebble_strategy(
     verdict "verified" certifies survival to exactly this depth; more
     than ``max_states`` positions give "inconclusive".
     """
+    check_counts(pebbles=pebbles, rounds=rounds, max_states=max_states)
     states = 0
     seen: set = set()
 

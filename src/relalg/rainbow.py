@@ -14,17 +14,9 @@ from itertools import product
 
 from .atoms import AtomStructure, make_structure
 
+# the fixed atom layout: 1', b, w, y, then the greens, then the reds
 ID, BLACK, WHITE, YELLOW = 0, 1, 2, 3
-
-
-@dataclass(frozen=True)
-class RainbowParams:
-    s: int  # number of green atoms
-    t: int  # red index set size; t*t red atoms
-
-    def __post_init__(self):
-        if self.s < 1 or self.t < 1:
-            raise ValueError("rainbow parameters must be >= 1")
+GREEN0 = 4
 
 
 def atom_names(s: int, t: int) -> list[str]:
@@ -69,7 +61,8 @@ def forbidden_generators(s: int, t: int) -> list[tuple[str, str, str]]:
 
 def build_rainbow(s: int, t: int) -> AtomStructure:
     """Construct the rainbow atom structure with s greens and t*t reds."""
-    RainbowParams(s, t)  # parameter check
+    if s < 1 or t < 1:
+        raise ValueError("rainbow parameters must be >= 1")
     return make_structure(
         names=atom_names(s, t),
         identity=["1'"],
@@ -89,58 +82,71 @@ def predicted_representable(s: int, t: int) -> bool:
 
 @dataclass(frozen=True)
 class Rainbow:
-    """A rainbow structure together with its colour layout."""
+    """A rainbow structure together with its colour layout: the one
+    place, with the constants above, that turns atom ids into colours."""
 
-    s: int
-    t: int
+    s: int  # number of green atoms
+    t: int  # red index set size; t*t red atoms
     structure: AtomStructure
 
     @classmethod
     def make(cls, s: int, t: int) -> "Rainbow":
         return cls(s=s, t=t, structure=build_rainbow(s, t))
 
-    # atom ids by colour; the fixed ordering is 1', b, w, y, greens, reds
+    @classmethod
+    def of(cls, structure: AtomStructure) -> "Rainbow":
+        """The layout of a structure, reading s and t from its atom names.
+
+        Raises ValueError unless the names are exactly ``atom_names(s, t)``.
+        """
+        names = structure.names
+        s = sum(1 for nm in names if nm.startswith("g"))
+        reds = sum(1 for nm in names if nm.startswith("r"))
+        t = int(round(reds ** 0.5))
+        if s < 1 or t < 1 or list(names) != atom_names(s, t):
+            raise ValueError("atom names do not match a rainbow structure")
+        return cls(s=s, t=t, structure=structure)
+
     def green(self, i: int) -> int:
         if not 0 <= i < self.s:
             raise ValueError(f"green index {i} out of range")
-        return 4 + i
+        return GREEN0 + i
 
     def red(self, j: int, j2: int) -> int:
         if not (0 <= j < self.t and 0 <= j2 < self.t):
             raise ValueError(f"red index ({j}, {j2}) out of range")
-        return 4 + self.s + j * self.t + j2
+        return GREEN0 + self.s + j * self.t + j2
 
     def is_green(self, a: int) -> bool:
-        return 4 <= a < 4 + self.s
+        return GREEN0 <= a < GREEN0 + self.s
 
     def green_index(self, a: int) -> int:
-        return a - 4
+        return a - GREEN0
 
     def is_red(self, a: int) -> bool:
-        return a >= 4 + self.s
+        return a >= GREEN0 + self.s
 
     def red_indices(self, a: int) -> tuple[int, int]:
-        j = (a - 4 - self.s) // self.t
-        return j, (a - 4 - self.s) % self.t
+        j = (a - GREEN0 - self.s) // self.t
+        return j, (a - GREEN0 - self.s) % self.t
 
     @property
     def greens(self) -> range:
-        return range(4, 4 + self.s)
+        return range(GREEN0, GREEN0 + self.s)
 
     @property
     def green_mask(self) -> int:
-        return ((1 << self.s) - 1) << 4
+        return ((1 << self.s) - 1) << GREEN0
 
+    def rename_nongreens(self, dst: "Rainbow", mask: int) -> int:
+        """The non-green atoms of ``mask`` as the same-named atoms of ``dst``.
 
-def rainbow_params_from_names(names) -> RainbowParams:
-    """Recover (s, t) from the atom names of a rainbow structure.
-
-    Raises ValueError if the names are not exactly an output of
-    :func:`atom_names`.
-    """
-    s = sum(1 for nm in names if nm.startswith("g"))
-    reds = sum(1 for nm in names if nm.startswith("r"))
-    t = int(round(reds ** 0.5))
-    if s < 1 or t < 1 or list(names) != atom_names(s, t):
-        raise ValueError("atom names do not match a rainbow structure")
-    return RainbowParams(s, t)
+        ``dst`` must have the same red index set.  1', b, w and y keep
+        their ids, the red block moves by the difference in the number
+        of greens, and greens are dropped.  Raises ValueError if
+        ``mask`` has atoms beyond this structure.
+        """
+        if mask >> (GREEN0 + self.s + self.t * self.t):
+            raise ValueError("mask has atoms outside the structure")
+        low = mask & ((1 << GREEN0) - 1)
+        return low | (mask >> (GREEN0 + self.s)) << (GREEN0 + dst.s)

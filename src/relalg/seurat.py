@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Optional
 
-from .verdict import Verdict
+from .verdict import Verdict, check_counts
 
 Cell = tuple[frozenset, frozenset]
 
@@ -149,6 +149,7 @@ def brute_force_winner(t_size: int, t2_size: int, n: int) -> str:
     first player's subset choices reduce to one intersection count per
     cell, and likewise for the responses.
     """
+    check_counts(t_size=t_size, t2_size=t2_size, n=n)
 
     @lru_cache(maxsize=None)
     def survives(cells: tuple, rounds_left: int) -> bool:
@@ -210,10 +211,6 @@ def _play_one_round(pos, side, chosen, strategy):
     return None, None, [_transcript_line(nxt, side, chosen, reply), lost]
 
 
-def _loss(plays_won: int) -> str:
-    return f"strategy reached a losing position in play {plays_won + 1}"
-
-
 def verify_seurat_strategy(
     t_size: int,
     t2_size: int,
@@ -225,61 +222,65 @@ def verify_seurat_strategy(
 ) -> Verdict:
     """Run every (or a sampled set of) opponent subset line against a strategy.
 
-    Exhaustive mode enumerates both side choices and all subsets each
-    round; sampled mode draws uniform side/subset choices from a fixed
-    seed.  The survival invariant (:func:`dagger_holds`) is asserted
-    after every round.
+    One search serves both modes; only the first player's moves differ.
+    Exhaustive mode tries both sides and every subset each round from
+    one root; sampled mode starts ``samples`` plays from the root and
+    draws one uniform side/subset choice per round from a fixed seed.
+    The survival invariant (:func:`dagger_holds`) is asserted after
+    every round.
     """
+    check_counts(t_size=t_size, t2_size=t2_size, n=n)
     t_set = frozenset(range(t_size))
     t2_set = frozenset(range(t2_size))
     start = SeuratPosition.initial(n, t_set, t2_set)
     if forall_wins(start) is not None:
         return Verdict("counterexample", ["initial position lost"],
                        "the initial position is lost")
-    plays = [0]
+    grounds = (("T", sorted(t_set)), ("T2", sorted(t2_set)))
 
     if mode == "exhaustive":
+        starts = 1
 
-        def dfs(pos: SeuratPosition) -> Optional[list[str]]:
-            if pos.r == pos.n:
-                plays[0] += 1
-                return None
-            for side, ground in (("T", sorted(t_set)), ("T2", sorted(t2_set))):
+        def moves():
+            for side, ground in grounds:
                 for mask in range(1 << len(ground)):
-                    chosen = frozenset(
+                    yield side, frozenset(
                         g for i, g in enumerate(ground) if mask >> i & 1
                     )
-                    nxt, reply, bad = _play_one_round(pos, side, chosen, strategy)
-                    if bad is None:
-                        bad = dfs(nxt)
-                        if bad is None:
-                            continue
-                        bad.insert(0, _transcript_line(nxt, side, chosen, reply))
-                    return bad
-            return None
+    elif mode == "sampled":
+        if seed is None:
+            raise ValueError("sampled mode requires a seed")
+        check_counts(1, samples=samples)
+        starts = samples
+        rng = random.Random(seed)
 
+        def moves():
+            side, ground = rng.choice(grounds)
+            yield side, frozenset(g for g in ground if rng.random() < 0.5)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    plays = 0
+
+    def dfs(pos: SeuratPosition) -> Optional[list[str]]:
+        nonlocal plays
+        if pos.r == pos.n:
+            plays += 1
+            return None
+        for side, chosen in moves():
+            nxt, reply, bad = _play_one_round(pos, side, chosen, strategy)
+            if bad is None:
+                bad = dfs(nxt)
+                if bad is None:
+                    continue
+                bad.insert(0, _transcript_line(nxt, side, chosen, reply))
+            return bad
+        return None
+
+    for _ in range(starts):
         bad = dfs(start)
         if bad is not None:
-            return Verdict("counterexample", bad, _loss(plays[0]), plays=plays[0])
-        return Verdict("verified", plays=plays[0])
-
-    if mode != "sampled":
-        raise ValueError(f"unknown mode {mode!r}")
-    if seed is None:
-        raise ValueError("sampled mode requires a seed")
-    rng = random.Random(seed)
-    for _ in range(samples):
-        pos = start
-        played = []  # (position after, side, chosen, reply) per round
-        for _round in range(n):
-            side = rng.choice(("T", "T2"))
-            ground = sorted(t_set if side == "T" else t2_set)
-            chosen = frozenset(g for g in ground if rng.random() < 0.5)
-            pos, reply, bad = _play_one_round(pos, side, chosen, strategy)
-            if bad is not None:
-                lines = [_transcript_line(*rnd) for rnd in played]
-                return Verdict("counterexample", lines + bad, _loss(plays[0]),
-                               plays=plays[0])
-            played.append((pos, side, chosen, reply))
-        plays[0] += 1
-    return Verdict("verified-sampled", plays=plays[0])
+            return Verdict("counterexample", bad,
+                           f"strategy reached a losing position in play {plays + 1}",
+                           plays=plays)
+    return Verdict("verified" if mode == "exhaustive" else "verified-sampled",
+                   plays=plays)

@@ -43,3 +43,10 @@ class Verdict:
 
 class BudgetExhausted(Exception):
     """Raised inside a search when it has expanded more states than allowed."""
+
+
+def check_counts(least: int = 0, **counts: int) -> None:
+    """Raise ValueError naming the first count below ``least``."""
+    for name, value in counts.items():
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")

@@ -9,14 +9,13 @@ from relalg.efgame import (
     EFPosition,
     MirrorStrategy,
     Prop44Strategy,
-    _nongreen_map,
     brute_force_winner,
     pair_closure,
     position_winner,
-    prop44_strategy,
     verify_ef_strategy,
 )
-from relalg.seurat import SeuratSession, SeuratStrategyFailure
+from relalg.rainbow import YELLOW
+from relalg.seurat import SeuratStrategyFailure
 
 RB22 = Rainbow.make(2, 2)
 RB32 = Rainbow.make(3, 2)
@@ -244,7 +243,9 @@ def test_mirror_strategy_verified_on_identical_algebras():
 
 
 def test_nongreen_map_bit_shuffle():
-    transfer = _nongreen_map(RB22, RB32)
+    def transfer(x):
+        return RB22.rename_nongreens(RB32, x)
+
     # low atoms keep their positions
     assert transfer(0b1011) == 0b1011
     # a red atom shifts by the green-count difference
@@ -258,15 +259,15 @@ def test_nongreen_map_bit_shuffle():
 
 def test_nongreen_map_requires_same_reds():
     with pytest.raises(ValueError):
-        _nongreen_map(RB22, Rainbow.make(2, 3))
+        Prop44Strategy(RB22, Rainbow.make(2, 3))
 
 
 def test_prop44_reply_preserves_nongreen_part():
-    transfer = _nongreen_map(RB22, RB32)
-    session = SeuratSession(1, range(2), range(3))
-    elem = (1 << RB22.green(0)) | (1 << 3) | (1 << RB22.red(0, 1))
-    out = prop44_strategy(RB22, RB32, elem, session, "T")
-    assert out & ~RB32.green_mask == transfer(elem)
+    strategy = Prop44Strategy(RB22, RB32)
+    session = strategy.start(1)
+    elem = (1 << RB22.green(0)) | (1 << YELLOW) | (1 << RB22.red(0, 1))
+    out = strategy.respond(session, "A", elem)
+    assert out & ~RB32.green_mask == RB22.rename_nongreens(RB32, elem)
     # one green chosen -> exactly one green answered (small-case copy)
     assert bin(out & RB32.green_mask).count("1") == 1
 

@@ -18,6 +18,7 @@ from relalg.networks import (
     red_clique,
     representation_from_network,
 )
+from relalg.rainbow import YELLOW
 
 RB22 = Rainbow.make(2, 2)
 ALG22 = Algebra(RB22.structure)
@@ -74,12 +75,12 @@ def test_legal_moves_skip_witnessed_and_identity():
 
 
 def test_red_clique_members():
-    g0, g1, YEL = RB22.green(0), RB22.green(1), 3
+    g0, g1 = RB22.green(0), RB22.green(1)
     st = RB22.structure
     net = initial_response(ALG22, 2)
-    net, book = rainbow_exists_strategy(RB22, net, {}, ForallMove(0, 1, g0, YEL))
+    net, book = rainbow_exists_strategy(RB22, net, {}, ForallMove(0, 1, g0, YELLOW))
     assert red_clique(net, RB22, 0, 1) == [2]
-    net, book = rainbow_exists_strategy(RB22, net, book, ForallMove(0, 1, g1, YEL))
+    net, book = rainbow_exists_strategy(RB22, net, book, ForallMove(0, 1, g1, YELLOW))
     assert red_clique(net, RB22, 0, 1) == [2, 3]
     # the clique edge is red and matches the recorded injection
     h = book[(0, 1)]
@@ -136,18 +137,18 @@ def test_strategy_reflexive_move_requires_converse_pair():
 
 
 def test_canonical_state_identifies_renamings():
-    g0, g1, YEL = RB22.green(0), RB22.green(1), 3
+    g0, g1 = RB22.green(0), RB22.green(1)
     # attach g0 then g1 versus g1 then g0: same state up to renaming
-    n1, b1 = attack(RB22, [ForallMove(0, 1, g0, YEL), ForallMove(0, 1, g1, YEL)])
-    n2, b2 = attack(RB22, [ForallMove(0, 1, g1, YEL), ForallMove(0, 1, g0, YEL)])
+    n1, b1 = attack(RB22, [ForallMove(0, 1, g0, YELLOW), ForallMove(0, 1, g1, YELLOW)])
+    n2, b2 = attack(RB22, [ForallMove(0, 1, g1, YELLOW), ForallMove(0, 1, g0, YELLOW)])
     assert n1.lab != n2.lab
     assert canonical_state(n1, b1) == canonical_state(n2, b2)
 
 
 def test_canonical_state_separates_distinct_networks():
-    g0, YEL = RB22.green(0), 3
-    n1, b1 = attack(RB22, [ForallMove(0, 1, g0, YEL)])
-    n2, b2 = attack(RB22, [ForallMove(0, 1, YEL, YEL)])
+    g0 = RB22.green(0)
+    n1, b1 = attack(RB22, [ForallMove(0, 1, g0, YELLOW)])
+    n2, b2 = attack(RB22, [ForallMove(0, 1, YELLOW, YELLOW)])
     assert canonical_state(n1, b1) != canonical_state(n2, b2)
 
 

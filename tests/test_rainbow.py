@@ -1,12 +1,16 @@
 import pytest
 
 from relalg.algebra import Algebra
+from relalg.atoms import make_structure
 from relalg.rainbow import (
+    BLACK,
+    ID,
+    WHITE,
+    YELLOW,
     Rainbow,
     atom_names,
     build_rainbow,
     predicted_representable,
-    rainbow_params_from_names,
 )
 
 
@@ -123,7 +127,31 @@ def test_predicted_representable():
 
 def test_params_round_trip():
     for s, t in ((2, 2), (5, 3)):
-        p = rainbow_params_from_names(atom_names(s, t))
-        assert (p.s, p.t) == (s, t)
+        rb = Rainbow.of(build_rainbow(s, t))
+        assert (rb.s, rb.t) == (s, t)
     with pytest.raises(ValueError):
-        rainbow_params_from_names(["1'", "b", "x"])
+        Rainbow.of(make_structure(["1'", "b", "x"], ["1'"], [], []))
+
+
+@pytest.mark.parametrize("s,t", [(1, 1), (2, 2), (3, 2), (5, 3), (2, 7)])
+def test_colour_constants_name_their_atoms(s, t):
+    names = atom_names(s, t)
+    assert [ID, BLACK, WHITE, YELLOW] == [names.index(nm) for nm in ("1'", "b", "w", "y")]
+
+
+@pytest.mark.parametrize("src,dst", [((2, 2), (3, 2)), ((3, 2), (2, 2)), ((5, 3), (2, 3))])
+def test_rename_nongreens_keeps_names_drops_greens(src, dst):
+    rb_src, rb_dst = Rainbow.make(*src), Rainbow.make(*dst)
+    src_names, dst_names = rb_src.structure.names, rb_dst.structure.names
+    for a in range(rb_src.structure.n_atoms):
+        out = rb_src.rename_nongreens(rb_dst, 1 << a)
+        if rb_src.is_green(a):
+            assert out == 0
+        else:
+            assert out == 1 << dst_names.index(src_names[a])
+    everything = (1 << rb_src.structure.n_atoms) - 1
+    assert rb_src.rename_nongreens(rb_dst, everything) == (
+        ((1 << rb_dst.structure.n_atoms) - 1) & ~rb_dst.green_mask
+    )
+    with pytest.raises(ValueError):
+        rb_src.rename_nongreens(rb_dst, everything + 1)

@@ -1,7 +1,9 @@
 """Every Verdict field of the four game searches, pinned to recorded literals.
 
 A search formats the reported line only as its losing (or budget) result
-unwinds; the last test checks that won lines are never formatted.
+unwinds; a test checks that won lines are never formatted.  The last test
+checks that every library entry point refuses a bad count before any
+search.
 """
 
 import pytest
@@ -153,3 +155,34 @@ def test_won_lines_are_never_formatted(monkeypatch):
     assert verify_exists_strategy(Rainbow.make(2, 2), 3).status == "verified"
     assert _pebble(2, 3, 2, 2, 4).status == "verified"
     assert _ef(4, 5, 1, 1).status == "verified"
+
+
+B22 = Rainbow.make(2, 2)
+
+
+BAD_COUNTS = {
+    "exists rounds": ("rounds", lambda: verify_exists_strategy(B22, -1)),
+    "exists max_states": ("max_states",
+                          lambda: verify_exists_strategy(B22, 2, max_states=-1)),
+    "refutation max_rounds": ("max_rounds",
+                              lambda: verify_forall_refutation(Rainbow.make(3, 2), -1)),
+    "pebble pebbles": ("pebbles", lambda: _pebble(2, 3, 2, -1, 3)),
+    "pebble rounds": ("rounds", lambda: _pebble(2, 3, 2, 2, -1)),
+    "colouring t_size": ("t_size", lambda: verify_seurat_strategy(-2, 4, 1)),
+    "colouring n": ("n", lambda: verify_seurat_strategy(4, 4, -1)),
+    "colouring default samples": (
+        "samples", lambda: verify_seurat_strategy(4, 4, 1, mode="sampled", seed=1)),
+    "colouring solver n": ("n", lambda: seurat.brute_force_winner(4, 4, -1)),
+    "efgame n": ("n", lambda: _ef(2, 3, 2, -1)),
+    "efgame samples": ("samples",
+                       lambda: _ef(4, 5, 1, 1, mode="sampled", samples=0, seed=1)),
+    "efgame solver n": ("n", lambda: efgame.brute_force_winner(
+        efgame.EFPosition(Algebra(B22.structure), Algebra(B22.structure)), -1)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_COUNTS))
+def test_bad_counts_are_refused(case):
+    name, call = BAD_COUNTS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be at least"):
+        call()
