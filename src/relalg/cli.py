@@ -14,6 +14,7 @@ import sys
 
 from . import algebra, efgame, logic, networks, pebble, rasfile, seurat
 from .rainbow import Rainbow, build_rainbow, predicted_representable
+from .verdict import BudgetExhausted
 
 OK, FAIL, USAGE, INCONCLUSIVE = 0, 1, 2, 3
 
@@ -183,7 +184,11 @@ def cmd_eval(args) -> int:
             print("formula has free variables; only sentences can be "
                   "evaluated here", file=sys.stderr)
             return USAGE
-    value = logic.evaluate(formula, alg)
+    try:
+        value = logic.evaluate(formula, alg, max_elements=args.budget)
+    except BudgetExhausted as exc:
+        print(f"inconclusive: {exc}")
+        return INCONCLUSIVE
     print("true" if value else "false")
     return OK
 
@@ -262,6 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--formula")
     grp.add_argument("--atleast", type=POSITIVE,
                      help="shortcut: 'has at least K atoms' sentence")
+    p.add_argument("--budget", type=COUNT, default=logic.DEFAULT_MAX_ELEMENTS,
+                   help="most elements the algebra may have")
     p.set_defaults(fn=cmd_eval)
 
     return top

@@ -3,17 +3,51 @@
 Terms are built from variables, the constants 0, 1, 1' and the
 operations complement, converse, join and composition (meet is sugar).
 Formulas are equalities of terms closed under negation, conjunction,
-disjunction and quantification; <= and < are sugar.  Evaluation is
-Tarskian over a finite complex algebra, with quantifiers ranging over
-all elements and memoization keyed by each subformula's free variables.
+disjunction and quantification; <= and < are sugar.
+
+Evaluation is Tarskian over a finite complex algebra with k atoms and
+N = 2^k elements, and bit-sliced: the body of a quantifier over v is
+evaluated at all N values of v at once.  There a term's value is k
+*planes*, plane[a] being an N-bit int whose bit e is set iff atom a is
+in the term's value at v = e, and a formula's value is one N-bit truth
+int, bit e set iff it holds at v = e.  Each operation applies its
+atom-level definition to bit e of every plane at once, so bit e of the
+result is that definition at element e:
+
+- v: plane[a] holds the elements e with bit a set, i.e. containing a.
+- A constant or another variable is one mask m at every e; where it
+  meets planes, plane[a] is all-ones if a is in m and 0 otherwise.
+- -x: plane ^ ONES, as a is in -x iff a is not in x.
+- x^: out[a] = plane[conv a], as a is in x^ iff conv a is in x.
+- x + y: OR plane by plane, as a is in x + y iff it is in x or in y.
+- x;y: out[c] = OR of p[a] & q[b] over the (a, b) with c in comp[a][b],
+  as c is in x;y iff c is in a;b for some a in x and b in y.  A
+  constant side m first becomes the k-entry row m;b (or a;m), and
+  out[c] is the OR of the other side's planes whose entry holds c.
+- x = y: ONES ^ OR of p[a] ^ q[a], as x = y iff no atom is in just one.
+- ~, & and |: bitwise on truth ints, bit e being the truth at e.  A
+  formula that does not vary with v is 0 or ONES, the same at every e.
+- Q z. body: the body's truth int over z has some bit set (E) or all N
+  set (A).  Where the quantified formula itself varies with v, it is
+  decided at each of v's N values in turn to give bit e.
+
+Each quantifier memoizes its value on the values of its free variables
+other than v: it depends on nothing else, so a quantifier nested under
+another is evaluated once per distinct outer binding, not once per
+element.  Planes are only built inside :func:`evaluate` and
+:func:`term_planes`, which refuse algebras with more elements than
+their budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, reduce
+from operator import itemgetter, or_, xor
 from typing import Optional
 
-from .algebra import Algebra
+from .algebra import Algebra, bits
+from .verdict import BudgetExhausted
 
 
 # --- terms -----------------------------------------------------------------
@@ -191,87 +225,11 @@ def quantifier_depth(f: Formula) -> int:
 
 # --- evaluation ---------------------------------------------------------------
 
+DEFAULT_MAX_ELEMENTS = 1 << 16  # 16 atoms: each plane is then 8 KiB
+
 
 class UnboundVariableError(KeyError):
     pass
-
-
-def _compile_term(t: Term, alg: Algebra):
-    """Turn a term into a closure dict-env -> element mask."""
-    if isinstance(t, Var):
-        name = t.name
-        return lambda env: env[name]
-    if isinstance(t, Const):
-        val = {"0": 0, "1": alg.one, "1'": alg.identity_mask}[t.symbol]
-        return lambda env: val
-    if isinstance(t, Neg):
-        arg = _compile_term(t.arg, alg)
-        top = alg.one
-        return lambda env: top ^ arg(env)
-    if isinstance(t, Conv):
-        arg = _compile_term(t.arg, alg)
-        conv = alg.converse
-        return lambda env: conv(arg(env))
-    if isinstance(t, Join):
-        left, right = _compile_term(t.left, alg), _compile_term(t.right, alg)
-        return lambda env: left(env) | right(env)
-    if isinstance(t, Comp):
-        left, right = _compile_term(t.left, alg), _compile_term(t.right, alg)
-        comp = alg.compose
-        return lambda env: comp(left(env), right(env))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _compile(f: Formula, alg: Algebra):
-    """Turn a formula into a closure dict-env -> bool.
-
-    Each quantifier node carries a private memo table keyed by the
-    values of its free variables; that is the only caching needed,
-    since every repeat evaluation of an inner node happens under some
-    quantifier whose memo already collapses it.  This is what makes
-    deeply nested bounded quantifiers tractable on algebras with
-    thousands of elements.
-    """
-    if isinstance(f, Eq):
-        left, right = _compile_term(f.left, alg), _compile_term(f.right, alg)
-        return lambda env: left(env) == right(env)
-    if isinstance(f, Not):
-        arg = _compile(f.arg, alg)
-        return lambda env: not arg(env)
-    if isinstance(f, And):
-        left, right = _compile(f.left, alg), _compile(f.right, alg)
-        return lambda env: left(env) and right(env)
-    if isinstance(f, Or):
-        left, right = _compile(f.left, alg), _compile(f.right, alg)
-        return lambda env: left(env) or right(env)
-    if isinstance(f, (Exists, Forall)):
-        body = _compile(f.body, alg)
-        var = f.var
-        fvs = tuple(sorted(f.free_vars))
-        want = isinstance(f, Exists)
-        size = alg.size
-        memo: dict = {}
-
-        def fn(env):
-            key = tuple(env[v] for v in fvs)
-            got = memo.get(key)
-            if got is None:
-                old = env.get(var, _MISSING)
-                got = not want
-                for val in range(size):
-                    env[var] = val
-                    if body(env) == want:
-                        got = want
-                        break
-                if old is _MISSING:
-                    del env[var]
-                else:
-                    env[var] = old
-                memo[key] = got
-            return got
-
-        return fn
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def _check_bound(free_vars, env: dict) -> None:
@@ -280,20 +238,231 @@ def _check_bound(free_vars, env: dict) -> None:
         raise UnboundVariableError(sorted(missing)[0])
 
 
+def _check_budget(alg: Algebra, max_elements: int) -> None:
+    if alg.size > max_elements:
+        raise BudgetExhausted(f"element budget {max_elements} is below the "
+                              f"algebra's 2^{alg.n_atoms} elements")
+
+
+class _Planes:
+    """The closures of one evaluation over one algebra.
+
+    ``term(t, v)`` and ``formula(f, v)`` return ``(fn, free)``, where
+    ``free`` is the node's free variables and ``fn(env)`` its value.
+    When the column variable v is free in the node, that value is a
+    column over v: k planes for a term, an N-bit truth int for a
+    formula.  Otherwise it is a plain mask for a term, and 0 or ONES
+    for a formula.  Every variable other than v is read from ``env``.
+    """
+
+    def __init__(self, alg: Algebra):
+        self.alg = alg
+
+    @cached_property
+    def ones(self) -> int:
+        """The N-bit all-ones int; a term with no column never needs it."""
+        return (1 << self.alg.size) - 1
+
+    @cached_property
+    def var_planes(self) -> list[int]:
+        """plane[a] = the elements that contain atom a, by shift-doubling."""
+        planes, n = [], self.alg.size
+        for a in range(self.alg.n_atoms):
+            run = 1 << a
+            plane, span = ((1 << run) - 1) << run, 2 * run
+            while span < n:
+                plane |= plane << span
+                span *= 2
+            planes.append(plane)
+        return planes
+
+    def or_mask(self, planes: list[int], mask: int) -> list[int]:
+        """OR with the planes of a mask that does not vary: all-ones for
+        the atoms in it, 0 for the others."""
+        ones = self.ones
+        return [ones if mask >> a & 1 else p for a, p in enumerate(planes)]
+
+    def xor_mask(self, planes: list[int], mask: int) -> list[int]:
+        """XOR with the planes of a mask that does not vary."""
+        ones = self.ones
+        return [p ^ ones if mask >> a & 1 else p for a, p in enumerate(planes)]
+
+    # terms
+    def term(self, t: Term, v):
+        alg = self.alg
+        if isinstance(t, Var):
+            name, free = t.name, frozenset((t.name,))
+            if name == v:
+                planes = self.var_planes
+                return (lambda env: planes), free
+            return (lambda env: env[name]), free
+        if isinstance(t, Const):
+            val = {"0": 0, "1": alg.one, "1'": alg.identity_mask}[t.symbol]
+            return (lambda env: val), frozenset()
+        if isinstance(t, (Neg, Conv)):
+            arg, free = self.term(t.arg, v)
+            if v not in free:
+                op = alg.complement if isinstance(t, Neg) else alg.converse
+                return (lambda env: op(arg(env))), free
+            if isinstance(t, Neg):
+                ones = self.ones
+                return (lambda env: [p ^ ones for p in arg(env)]), free
+            conv = alg.conv_atom
+            return (lambda env: list(map(arg(env).__getitem__, conv))), free
+        if isinstance(t, (Join, Comp)):
+            left, lfree = self.term(t.left, v)
+            right, rfree = self.term(t.right, v)
+            make = self._join if isinstance(t, Join) else self._comp
+            return make(left, v in lfree, right, v in rfree), lfree | rfree
+        raise TypeError(f"not a term: {t!r}")
+
+    def _join(self, left, lcol, right, rcol):
+        if not (lcol or rcol):
+            return lambda env: left(env) | right(env)
+        if lcol and rcol:
+            return lambda env: list(map(or_, left(env), right(env)))
+        col, mask = (left, right) if lcol else (right, left)
+        or_mask = self.or_mask
+        return lambda env: or_mask(col(env), mask(env))
+
+    def _comp(self, left, lcol, right, rcol):
+        alg, k = self.alg, self.alg.n_atoms
+        if not (lcol or rcol):
+            return lambda env: alg.compose(left(env), right(env))
+
+        def scatter(row, q):
+            # out[c] = OR of q[b] over the b with c in row[b]
+            out = [0] * k
+            for qb, r in zip(q, row):
+                if qb:
+                    for c in bits(r):
+                        out[c] |= qb
+            return out
+
+        def row_of(table, mask):
+            # entry b is the OR of table[a][b] over the atoms a of mask
+            row = [0] * k
+            for a in bits(mask):
+                row = list(map(or_, row, table[a]))
+            return row
+
+        if lcol and rcol:
+            def both(env):  # x;y is the union of a;y over the atoms a in x
+                p, q, out = left(env), right(env), [0] * k
+                for pa, row in zip(p, alg.comp):
+                    if pa:
+                        out = [o | pa & s for o, s in zip(out, scatter(row, q))]
+                return out
+
+            return both
+        if rcol:  # m;b for each atom b
+            return lambda env: scatter(row_of(alg.comp, left(env)), right(env))
+        transposed = [list(col) for col in zip(*alg.comp)]  # a;m for each atom a
+        return lambda env: scatter(row_of(transposed, right(env)), left(env))
+
+    # formulas
+    def formula(self, f: Formula, v):
+        ones = self.ones
+        if isinstance(f, Eq):
+            left, lfree = self.term(f.left, v)
+            right, rfree = self.term(f.right, v)
+            lcol, rcol = v in lfree, v in rfree
+            free = lfree | rfree
+            if not (lcol or rcol):
+                return (lambda env: ones if left(env) == right(env) else 0), free
+            if lcol and rcol:
+                return (lambda env: ones ^ reduce(
+                    or_, map(xor, left(env), right(env)), 0)), free
+            col, mask = (left, right) if lcol else (right, left)
+            xor_mask = self.xor_mask
+            return (lambda env: ones ^ reduce(
+                or_, xor_mask(col(env), mask(env)), 0)), free
+        if isinstance(f, Not):
+            arg, free = self.formula(f.arg, v)
+            return (lambda env: ones ^ arg(env)), free
+        if isinstance(f, (And, Or)):
+            left, free = self.formula(f.left, v)
+            right, rfree = self.formula(f.right, v)
+            if isinstance(f, And):
+                return (lambda env: left(env) & right(env)), free | rfree
+            return (lambda env: left(env) | right(env)), free | rfree
+        if isinstance(f, (Exists, Forall)):
+            return self._quantifier(f, v)
+        raise TypeError(f"not a formula: {f!r}")
+
+    def _quantifier(self, f, v):
+        z, ones = f.var, self.ones
+        body, free = self.formula(f.body, z)
+        free = free - {z}
+        if isinstance(f, Exists):
+            holds = lambda env: body(env) != 0
+        else:
+            holds = lambda env: body(env) == ones
+        others = tuple(sorted(free - {v}))
+        key = itemgetter(*others) if others else (lambda env: ())
+        memo: dict = {}
+        n = self.alg.size
+
+        def fn(env):
+            at = key(env)
+            got = memo.get(at)
+            if got is None:
+                if v not in free:
+                    got = ones if holds(env) else 0
+                else:  # bit e: the formula at v = e
+                    env, got = dict(env), 0
+                    for e in range(n):
+                        env[v] = e
+                        if holds(env):
+                            got |= 1 << e
+                memo[at] = got
+            return got
+
+        return fn, free
+
+
 def eval_term(t: Term, alg: Algebra, env: Optional[dict] = None) -> int:
+    """The value of a term; its variables must all be bound by env."""
     env = dict(env) if env else {}
-    _check_bound(t.free_vars, env)
-    return _compile_term(t, alg)(env)
+    fn, free = _Planes(alg).term(t, None)
+    _check_bound(free, env)
+    return fn(env)
 
 
-def evaluate(f: Formula, alg: Algebra, env: Optional[dict] = None) -> bool:
-    """Evaluate a formula; its free variables must all be bound by env."""
+def term_planes(t: Term, alg: Algebra, var: str = "x",
+                env: Optional[dict] = None,
+                max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[int]:
+    """The term's k planes over ``var``: bit e of plane[a] is set iff
+    atom a is in the term's value at var = e.  Its other variables must
+    be bound by env."""
+    _check_budget(alg, max_elements)
     env = dict(env) if env else {}
-    _check_bound(f.free_vars, env)
-    return _compile(f, alg)(env)
+    planes = _Planes(alg)
+    fn, free = planes.term(t, var)
+    _check_bound(free - {var}, env)
+    if var in free:
+        return list(fn(env))
+    return planes.or_mask([0] * alg.n_atoms, fn(env))
 
 
-_MISSING = object()
+def evaluate(f: Formula, alg: Algebra, env: Optional[dict] = None,
+             max_elements: int = DEFAULT_MAX_ELEMENTS) -> bool:
+    """Evaluate a formula; its free variables must all be bound by env.
+
+    Compiles the formula once, then evaluates each quantifier's body
+    over all N elements at once: a term there is k planes (bit e of
+    plane[a] set iff atom a is in its value at element e) and a formula
+    one N-bit truth int.  Each operation is exact bit by bit, as the
+    module docstring argues one operation at a time.  A quantifier's
+    memo key is the values of its free variables other than the one
+    its context varies.  Raises ``BudgetExhausted`` before building
+    anything if the algebra has more than ``max_elements`` elements.
+    """
+    _check_budget(alg, max_elements)
+    env = dict(env) if env else {}
+    fn, free = _Planes(alg).formula(f, None)
+    _check_bound(free, env)
+    return bool(fn(env))
 
 
 # --- the cardinality formulas -------------------------------------------------

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, reproducibility."""
 
+import time
+
 import pytest
 
 from relalg import build_rainbow, rasfile
@@ -201,6 +203,28 @@ def test_eval_atleast(ras22, capsys):
     assert capsys.readouterr().out.strip() == "true"
     assert main(["eval", ras22, "--atleast", "11"]) == OK
     assert capsys.readouterr().out.strip() == "false"
+
+
+def test_eval_budget_flag(ras22, capsys):
+    # B(2,2) has 2^10 = 1024 elements
+    assert main(["eval", ras22, "--atleast", "10", "--budget", "1024"]) == OK
+    assert capsys.readouterr().out.strip() == "true"
+    assert main(["eval", ras22, "--atleast", "10", "--budget", "1023"]) == INCONCLUSIVE
+    assert capsys.readouterr().out.strip() == (
+        "inconclusive: element budget 1023 is below the algebra's 2^10 elements")
+
+
+def test_eval_over_budget_stops_at_once(tmp_path, capsys):
+    # 61 atoms: 2^61 elements, refused before any of them is built
+    path = tmp_path / "b87.ras"
+    rasfile.dump(build_rainbow(8, 7), path)
+    t0 = time.monotonic()
+    assert main(["eval", str(path), "--formula", "A x . x ; id = x"]) == INCONCLUSIVE
+    elapsed = time.monotonic() - t0
+    out = capsys.readouterr()
+    assert out.out.startswith("inconclusive: element budget 65536 ")
+    assert out.err == ""
+    assert elapsed < 10.0  # nearly all of it parses the 61-atom file
 
 
 def test_eval_rejects_free_variables(ras22, capsys):

@@ -1,10 +1,12 @@
 """First-order language over complex algebras: terms, formulas, parser."""
 
+from itertools import permutations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
-from relalg import Algebra, Rainbow
+from relalg import Algebra, Rainbow, build_rainbow, check_axioms
 from relalg.atoms import make_structure
 from relalg.logic import (
     And,
@@ -31,7 +33,9 @@ from relalg.logic import (
     meet,
     parse_formula,
     quantifier_depth,
+    term_planes,
 )
+from relalg.verdict import BudgetExhausted
 
 TINY = Algebra(make_structure(["1'", "d"], ["1'"], [], [("1'", "1'", "d")]))
 ALG22 = Algebra(Rainbow.make(2, 2).structure)
@@ -206,3 +210,184 @@ def test_parsed_identity_laws_hold():
         "A x . -(-x) = x",
     ]:
         assert evaluate(parse_formula(law), TINY), law
+
+
+# ---------------------------------------------------------------------------
+# the bit-sliced evaluator against a naive Tarskian one
+
+B11 = Algebra(Rainbow.make(1, 1).structure)  # 6 atoms
+B21 = Algebra(Rainbow.make(2, 1).structure)  # 7 atoms
+VARS = ("x", "y", "z")
+
+
+def group_algebra():
+    """The complex algebra of the symmetric group on three points.
+
+    Every atom of TINY, B(1,1) and B(2,1) is its own converse, and so
+    their composition commutes.  Here a;b = {ab} does not, and the two
+    3-cycles are each other's converse.
+    """
+    perms = list(permutations(range(3)))
+    name = {p: "p" + "".join(map(str, p)) for p in perms}
+    inv = {p: tuple(sorted(range(3), key=p.__getitem__)) for p in perms}
+    mul = {(p, q): tuple(p[i] for i in q) for p in perms for q in perms}
+    return Algebra(make_structure(
+        [name[p] for p in perms], [name[(0, 1, 2)]],
+        [(name[p], name[inv[p]]) for p in perms if p < inv[p]],
+        [(name[p], name[q], name[r]) for p in perms for q in perms
+         for r in perms if mul[p, q] != r],
+    ))
+
+
+S3 = group_algebra()
+ALGEBRAS = pytest.mark.parametrize(
+    "alg", [TINY, B11, B21, S3], ids=["tiny", "B11", "B21", "S3"])
+
+
+def naive_term(t, alg, env):
+    """A term's value by plain recursion over atoms."""
+    k = alg.n_atoms
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, Const):
+        return {"0": 0, "1": alg.one, "1'": alg.identity_mask}[t.symbol]
+    if isinstance(t, Neg):
+        return alg.one & ~naive_term(t.arg, alg, env)
+    if isinstance(t, Conv):
+        x = naive_term(t.arg, alg, env)
+        return sum(1 << alg.conv_atom[a] for a in range(k) if x >> a & 1)
+    x, y = naive_term(t.left, alg, env), naive_term(t.right, alg, env)
+    if isinstance(t, Join):
+        return x | y
+    out = 0
+    for a in range(k):
+        for b in range(k):
+            if x >> a & 1 and y >> b & 1:
+                out |= alg.comp[a][b]
+    return out
+
+
+def naive_holds(f, alg, env):
+    """A formula's truth by plain recursion: quantifiers try every element."""
+    if isinstance(f, Eq):
+        return naive_term(f.left, alg, env) == naive_term(f.right, alg, env)
+    if isinstance(f, Not):
+        return not naive_holds(f.arg, alg, env)
+    if isinstance(f, And):
+        return naive_holds(f.left, alg, env) and naive_holds(f.right, alg, env)
+    if isinstance(f, Or):
+        return naive_holds(f.left, alg, env) or naive_holds(f.right, alg, env)
+    found = (naive_holds(f.body, alg, {**env, f.var: e}) for e in range(alg.size))
+    return any(found) if isinstance(f, Exists) else all(found)
+
+
+terms = hs.recursive(
+    hs.sampled_from([Var(v) for v in VARS] + [Const(c) for c in ("0", "1", "1'")]),
+    lambda sub: hs.one_of(
+        hs.builds(Neg, sub), hs.builds(Conv, sub),
+        hs.builds(Join, sub, sub), hs.builds(Comp, sub, sub),
+    ),
+    max_leaves=4,
+)
+
+def quantified(sub):
+    var = hs.sampled_from(VARS)
+    return hs.one_of(hs.builds(Exists, var, sub), hs.builds(Forall, var, sub))
+
+
+# a quantifier on top, so that every example evaluates some planes
+formulas = quantified(hs.recursive(
+    hs.builds(Eq, terms, terms),
+    lambda sub: hs.one_of(
+        hs.builds(Not, sub), hs.builds(And, sub, sub), hs.builds(Or, sub, sub),
+        quantified(sub),
+    ),
+    max_leaves=5,
+))
+
+
+@ALGEBRAS
+@settings(max_examples=100, deadline=None)
+@given(f=formulas, data=hs.data())
+def test_evaluate_matches_naive_evaluator(alg, f, data):
+    # the naive side tries size^depth bindings; keep that small
+    assume(alg.size ** quantifier_depth(f) <= 20000)
+    env = {v: data.draw(hs.integers(0, alg.size - 1), label=v)
+           for v in sorted(f.free_vars)}
+    assert evaluate(f, alg, env) == naive_holds(f, alg, env)
+
+
+X, Y = Var("x"), Var("y")
+# each term operation with a constant side (a constant, or y bound by
+# env) on either hand, and with both sides varying in x
+SHAPES = [
+    Neg(X), Conv(X), Neg(Const("1'")), Conv(Y),
+    Join(X, Y), Join(Y, X), Join(Const("1'"), X), Join(X, Conv(X)),
+    Comp(X, Y), Comp(Y, X), Comp(Const("1'"), X), Comp(X, Const("1")),
+    Comp(X, Conv(X)), Comp(Neg(X), X), Comp(Y, Y),
+]
+
+
+@ALGEBRAS
+def test_term_planes_match_naive_terms(alg):
+    for t in SHAPES:
+        for y in (0, 1, alg.one, alg.size // 3):
+            planes = term_planes(t, alg, "x", {"y": y})
+            for e in range(alg.size):
+                at_e = sum((p >> e & 1) << a for a, p in enumerate(planes))
+                assert at_e == naive_term(t, alg, {"x": e, "y": y}), (t, e, y)
+
+
+@pytest.mark.parametrize("alg", [TINY, B11, S3], ids=["tiny", "B11", "S3"])
+def test_quantified_shapes_match_naive_evaluator(alg):
+    # each shape is compared, under a quantifier, with x itself (both
+    # sides vary), with y (one side constant) and with x under another
+    # quantifier that shadows y; y is bound by env
+    for t in SHAPES:
+        for f in (
+            Forall("x", Eq(t, X)), Exists("x", Eq(t, Y)), Exists("x", Eq(Y, t)),
+            Exists("y", Forall("x", Or(Eq(t, Y), Exists("y", Eq(t, Conv(Y)))))),
+        ):
+            for y in (0, alg.one, alg.size // 3):
+                env = {"y": y}
+                assert evaluate(f, alg, env) == naive_holds(f, alg, env), (f, y)
+
+
+def test_group_algebra_is_a_noncommutative_relation_algebra():
+    assert check_axioms(S3.structure) == []
+    assert any(S3.comp[a][b] != S3.comp[b][a] for a in range(6) for b in range(6))
+
+
+@pytest.mark.parametrize("alg", [TINY, B11, S3], ids=["tiny", "B11", "S3"])
+def test_memo_and_environment_cases_match_naive_evaluator(alg):
+    Z = Var("z")
+    cases = [
+        # the inner A z is keyed on y, which the E x around it does not vary
+        (Exists("y", Exists("x", And(Not(Eq(X, Y)), Forall(
+            "z", Eq(Join(X, Z), Join(Y, Z)))))), {}),
+        (Forall("y", Exists("x", Forall("z", Eq(Comp(X, Z), Comp(Z, Y))))), {}),
+        # y is bound by env, re-bound by E y, and read again after it
+        (And(Exists("y", Exists("x", Eq(X, Conv(Y)))), Eq(Y, Const("0"))), {"y": 0}),
+        (Or(Forall("y", Exists("x", Eq(X, Comp(Y, Y)))), Eq(Y, Const("1"))),
+         {"y": alg.one}),
+    ]
+    for f, env in cases:
+        assert evaluate(f, alg, env) == naive_holds(f, alg, env), f
+
+
+def test_evaluate_refuses_algebras_over_budget():
+    f = Exists("x", Eq(Var("x"), Const("0")))
+    assert evaluate(f, TINY, max_elements=4)
+    with pytest.raises(BudgetExhausted, match="element budget 3 "):
+        evaluate(f, TINY, max_elements=3)
+    with pytest.raises(BudgetExhausted):
+        term_planes(Var("x"), TINY, max_elements=3)
+
+
+def test_eval_term_builds_no_planes():
+    # a term with every variable bound is a plain mask, whatever the size
+    big = Algebra(build_rainbow(8, 7))  # 61 atoms
+    x = 0b101 << 40
+    assert eval_term(Neg(Conv(Join(Var("x"), Const("0")))), big, {"x": x}) == (
+        big.one ^ big.converse(x))
+    assert eval_term(Comp(Var("x"), Const("1'")), big, {"x": x}) == x

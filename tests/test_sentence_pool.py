@@ -10,21 +10,13 @@ reduced to those two bits per algebra and the bits are required to
 match across the two algebras.
 """
 
-import numpy as np
+from functools import reduce
+from operator import or_, xor
+
 import pytest
 
 from relalg import Algebra, Rainbow
-from relalg.logic import (
-    Comp,
-    Const,
-    Conv,
-    Join,
-    Neg,
-    Term,
-    Var,
-    eval_term,
-    meet,
-)
+from relalg.logic import Comp, Const, Conv, Join, Neg, Term, Var, meet, term_planes
 
 ALG_A = Algebra(Rainbow.make(4, 2).structure)
 ALG_B = Algebra(Rainbow.make(5, 2).structure)
@@ -49,53 +41,41 @@ def terms_up_to(size: int) -> list[Term]:
     return [t for ts in by_size.values() for t in ts]
 
 
-def column(t: Term, alg: Algebra) -> np.ndarray:
-    """The term's value at every element of the algebra."""
-    # evaluate the compiled term once per element; columns are memoized
-    # implicitly by the joint dedup below
-    from relalg.logic import _compile_term
-
-    fn = _compile_term(t, alg)
-    env: dict = {}
-    out = np.empty(alg.size, dtype=np.int64)
-    for x in range(alg.size):
-        env["x"] = x
-        out[x] = fn(env)
-    return out
+def planes(t: Term, alg: Algebra) -> tuple[int, ...]:
+    """The term's value at every element x of the algebra, as planes."""
+    return tuple(term_planes(t, alg, "x"))
 
 
 @pytest.fixture(scope="module")
-def deduped_columns():
-    """Term value columns, deduplicated jointly on both algebras."""
-    seen: dict = {}
-    for t in terms_up_to(4):
-        ca, cb = column(t, ALG_A), column(t, ALG_B)
-        key = (ca.tobytes(), cb.tobytes())
-        seen.setdefault(key, (ca, cb))
-    return list(seen.values())
+def deduped_planes():
+    """Term planes over each algebra, deduplicated jointly on both."""
+    return list(dict.fromkeys(
+        (planes(t, ALG_A), planes(t, ALG_B)) for t in terms_up_to(4)))
 
 
-def agreement_bits(c1: np.ndarray, c2: np.ndarray) -> tuple[bool, bool]:
-    eq = c1 == c2
-    return bool(eq.any()), bool(eq.all())
+def agreement_bits(p1, p2, alg: Algebra) -> tuple[bool, bool]:
+    """Whether the terms agree at some element, and at every element."""
+    ones = (1 << alg.size) - 1
+    eq = ones ^ reduce(or_, map(xor, p1, p2), 0)  # bit x: t1 = t2 at x
+    return eq != 0, eq == ones
 
 
-def test_pool_is_not_degenerate(deduped_columns):
+def test_pool_is_not_degenerate(deduped_planes):
     # dozens of semantically distinct terms, and sentences of both truth
     # values occur on the first algebra
-    assert len(deduped_columns) >= 20
+    assert len(deduped_planes) >= 20
     bits = {
-        agreement_bits(ca1, ca2)
-        for ca1, _ in deduped_columns
-        for ca2, _ in deduped_columns
+        agreement_bits(pa1, pa2, ALG_A)
+        for pa1, _ in deduped_planes
+        for pa2, _ in deduped_planes
     }
     assert (True, True) in bits  # some Ax (t1 = t2) is true
     assert (False, False) in bits  # some Ex (t1 = t2) is false
 
 
-def test_no_single_quantifier_sentence_separates(deduped_columns):
-    for i, (ca1, cb1) in enumerate(deduped_columns):
-        for ca2, cb2 in deduped_columns[i:]:
-            assert agreement_bits(ca1, ca2) == agreement_bits(cb1, cb2), (
+def test_no_single_quantifier_sentence_separates(deduped_planes):
+    for i, (pa1, pb1) in enumerate(deduped_planes):
+        for pa2, pb2 in deduped_planes[i:]:
+            assert agreement_bits(pa1, pa2, ALG_A) == agreement_bits(pb1, pb2, ALG_B), (
                 "a one-quantifier sentence distinguishes the algebras"
             )
