@@ -26,6 +26,15 @@ def bits(mask: int):
         mask ^= low
 
 
+def _or_rows(table: list[list[int]], atoms: list[int], k: int) -> list[int]:
+    """The OR of ``table[a]`` over the given atoms; it may be one of the
+    table's rows itself, so do not change it."""
+    row = table[atoms[0]] if atoms else [0] * k
+    for a in atoms[1:]:
+        row = list(map(or_, row, table[a]))
+    return row
+
+
 class Algebra:
     """The full complex algebra over a validated atom structure."""
 
@@ -79,13 +88,27 @@ class Algebra:
                 out |= row[b]
         return out
 
+    def left_row(self, x: int) -> list[int]:
+        """``x ; b`` for each atom b: the OR of ``comp[a]`` over the atoms
+        a of x.  Do not change it."""
+        return _or_rows(self.comp, list(bits(x)), self.n_atoms)
+
+    def right_row(self, y: int) -> list[int]:
+        """``a ; y`` for each atom a.  Do not change it."""
+        return _or_rows(self.comp_by_right, list(bits(y)), self.n_atoms)
+
+    @cached_property
+    def comp_by_right(self) -> list[list[int]]:
+        """The transposed table: ``comp_by_right[b][a] = comp[a][b]``."""
+        return [list(col) for col in zip(*self.comp)]
+
     def compose_all(self, masks: list[int]) -> list[list[int]]:
         """Every pairwise composition: ``out[i][j] = masks[i] ; masks[j]``.
 
-        For each left mask x the row ``L[b] = OR of comp[a][b] over a in
-        x`` is built once, and then ``x ; y`` is the OR of ``L[b]`` over
-        the bits b of y.  On a list of m masks that partition k atoms
-        this costs about k*k + k*m steps instead of m*m compose calls.
+        For each left mask x the row ``L = left_row(x)`` is built once,
+        and then ``x ; y`` is the OR of ``L[b]`` over the bits b of y.
+        On a list of m masks that partition k atoms this costs about
+        k*k + k*m steps instead of m*m compose calls.
         A one-atom y = {b} needs no OR at all: ``x ; y`` is ``L[b]``.  The
         products with the other masks are appended to L, so that one
         itemgetter reads out the whole row of products.
@@ -99,9 +122,7 @@ class Algebra:
         pick = itemgetter(*[ys[0] if len(ys) == 1 else next(slot) for ys in atoms])
         out = []
         for xs in atoms:
-            row = comp[xs[0]] if xs else [0] * k
-            for a in xs[1:]:
-                row = list(map(or_, row, comp[a]))
+            row = _or_rows(comp, xs, k)  # left_row(x), from x's atoms
             if multi:
                 get = row.__getitem__
                 row = row + [reduce(or_, map(get, ys), 0) for ys in multi]

@@ -26,17 +26,22 @@ result is that definition at element e:
   out[c] is the OR of the other side's planes whose entry holds c.
 - x = y: ONES ^ OR of p[a] ^ q[a], as x = y iff no atom is in just one.
 - ~, & and |: bitwise on truth ints, bit e being the truth at e.  A
-  formula that does not vary with v is 0 or ONES, the same at every e.
+  formula that does not vary with v is a bool, which is 0 or ONES, the
+  same at every e, where it meets a truth int.
 - Q z. body: the body's truth int over z has some bit set (E) or all N
-  set (A).  Where the quantified formula itself varies with v, it is
-  decided at each of v's N values in turn to give bit e.
+  set (A).  A body that is itself a quantifier over z (under any
+  number of ~) gets no column over z: z's values are tried in turn,
+  and the first that decides Q z stops the search.  Where the
+  quantified formula varies with v, it is decided at each of v's N
+  values in turn to give bit e.
 
 Each quantifier memoizes its value on the values of its free variables
 other than v: it depends on nothing else, so a quantifier nested under
 another is evaluated once per distinct outer binding, not once per
-element.  Planes are only built inside :func:`evaluate` and
-:func:`term_planes`, which refuse algebras with more elements than
-their budget.
+element.  Planes are only built under a quantifier and by
+:func:`term_planes`, both of which refuse algebras with more elements
+than their budget; a formula without quantifiers is evaluated on masks
+alone, at any size.
 """
 
 from __future__ import annotations
@@ -244,6 +249,16 @@ def _check_budget(alg: Algebra, max_elements: int) -> None:
                               f"algebra's 2^{alg.n_atoms} elements")
 
 
+def _scatter(row: list[int], q: list[int], k: int) -> list[int]:
+    """out[c] = OR of q[b] over the atoms b with c in row[b]."""
+    out = [0] * k
+    for qb, r in zip(q, row):
+        if qb:
+            for c in bits(r):
+                out[c] |= qb
+    return out
+
+
 class _Planes:
     """The closures of one evaluation over one algebra.
 
@@ -251,16 +266,17 @@ class _Planes:
     ``free`` is the node's free variables and ``fn(env)`` its value.
     When the column variable v is free in the node, that value is a
     column over v: k planes for a term, an N-bit truth int for a
-    formula.  Otherwise it is a plain mask for a term, and 0 or ONES
-    for a formula.  Every variable other than v is read from ``env``.
+    formula.  Otherwise it is a plain mask for a term and a bool for a
+    formula.  Every variable other than v is read from ``env``.
     """
 
-    def __init__(self, alg: Algebra):
+    def __init__(self, alg: Algebra, max_elements: int = DEFAULT_MAX_ELEMENTS):
         self.alg = alg
+        self.max_elements = max_elements
 
     @cached_property
     def ones(self) -> int:
-        """The N-bit all-ones int; a term with no column never needs it."""
+        """The N-bit all-ones int; a node with no column never needs it."""
         return (1 << self.alg.size) - 1
 
     @cached_property
@@ -276,16 +292,25 @@ class _Planes:
             planes.append(plane)
         return planes
 
-    def or_mask(self, planes: list[int], mask: int) -> list[int]:
-        """OR with the planes of a mask that does not vary: all-ones for
-        the atoms in it, 0 for the others."""
+    def lift(self, mask: int) -> list[int]:
+        """The planes of a mask that does not vary: all-ones for the
+        atoms in it, 0 for the others."""
         ones = self.ones
-        return [ones if mask >> a & 1 else p for a, p in enumerate(planes)]
+        return [ones if mask >> a & 1 else 0 for a in range(self.alg.n_atoms)]
 
-    def xor_mask(self, planes: list[int], mask: int) -> list[int]:
-        """XOR with the planes of a mask that does not vary."""
+    def as_planes(self, fn, col: bool):
+        """A term's closure as planes, lifting it if it does not vary."""
+        if col:
+            return fn
+        lift = self.lift
+        return lambda env: lift(fn(env))
+
+    def as_column(self, fn, col: bool):
+        """A formula's closure as a truth int, 0 or ONES if it does not vary."""
+        if col:
+            return fn
         ones = self.ones
-        return [p ^ ones if mask >> a & 1 else p for a, p in enumerate(planes)]
+        return lambda env: ones if fn(env) else 0
 
     # terms
     def term(self, t: Term, v):
@@ -319,103 +344,109 @@ class _Planes:
     def _join(self, left, lcol, right, rcol):
         if not (lcol or rcol):
             return lambda env: left(env) | right(env)
-        if lcol and rcol:
-            return lambda env: list(map(or_, left(env), right(env)))
-        col, mask = (left, right) if lcol else (right, left)
-        or_mask = self.or_mask
-        return lambda env: or_mask(col(env), mask(env))
+        left, right = self.as_planes(left, lcol), self.as_planes(right, rcol)
+        return lambda env: list(map(or_, left(env), right(env)))
 
     def _comp(self, left, lcol, right, rcol):
         alg, k = self.alg, self.alg.n_atoms
         if not (lcol or rcol):
             return lambda env: alg.compose(left(env), right(env))
-
-        def scatter(row, q):
-            # out[c] = OR of q[b] over the b with c in row[b]
-            out = [0] * k
-            for qb, r in zip(q, row):
-                if qb:
-                    for c in bits(r):
-                        out[c] |= qb
-            return out
-
-        def row_of(table, mask):
-            # entry b is the OR of table[a][b] over the atoms a of mask
-            row = [0] * k
-            for a in bits(mask):
-                row = list(map(or_, row, table[a]))
-            return row
-
         if lcol and rcol:
             def both(env):  # x;y is the union of a;y over the atoms a in x
                 p, q, out = left(env), right(env), [0] * k
                 for pa, row in zip(p, alg.comp):
                     if pa:
-                        out = [o | pa & s for o, s in zip(out, scatter(row, q))]
+                        out = [o | pa & s for o, s in zip(out, _scatter(row, q, k))]
                 return out
 
             return both
-        if rcol:  # m;b for each atom b
-            return lambda env: scatter(row_of(alg.comp, left(env)), right(env))
-        transposed = [list(col) for col in zip(*alg.comp)]  # a;m for each atom a
-        return lambda env: scatter(row_of(transposed, right(env)), left(env))
+        # a constant side m needs one scatter of the row m;b (or a;m)
+        if rcol:
+            return lambda env: _scatter(alg.left_row(left(env)), right(env), k)
+        return lambda env: _scatter(alg.right_row(right(env)), left(env), k)
 
     # formulas
     def formula(self, f: Formula, v):
-        ones = self.ones
         if isinstance(f, Eq):
             left, lfree = self.term(f.left, v)
             right, rfree = self.term(f.right, v)
             lcol, rcol = v in lfree, v in rfree
             free = lfree | rfree
             if not (lcol or rcol):
-                return (lambda env: ones if left(env) == right(env) else 0), free
-            if lcol and rcol:
-                return (lambda env: ones ^ reduce(
-                    or_, map(xor, left(env), right(env)), 0)), free
-            col, mask = (left, right) if lcol else (right, left)
-            xor_mask = self.xor_mask
+                return (lambda env: left(env) == right(env)), free
+            left, right = self.as_planes(left, lcol), self.as_planes(right, rcol)
+            ones = self.ones
             return (lambda env: ones ^ reduce(
-                or_, xor_mask(col(env), mask(env)), 0)), free
+                or_, map(xor, left(env), right(env)), 0)), free
         if isinstance(f, Not):
             arg, free = self.formula(f.arg, v)
+            if v not in free:
+                return (lambda env: not arg(env)), free
+            ones = self.ones
             return (lambda env: ones ^ arg(env)), free
         if isinstance(f, (And, Or)):
-            left, free = self.formula(f.left, v)
+            left, lfree = self.formula(f.left, v)
             right, rfree = self.formula(f.right, v)
+            lcol, rcol = v in lfree, v in rfree
+            free = lfree | rfree
+            if not (lcol or rcol):
+                if isinstance(f, And):
+                    return (lambda env: left(env) and right(env)), free
+                return (lambda env: left(env) or right(env)), free
+            left, right = self.as_column(left, lcol), self.as_column(right, rcol)
             if isinstance(f, And):
-                return (lambda env: left(env) & right(env)), free | rfree
-            return (lambda env: left(env) | right(env)), free | rfree
+                return (lambda env: left(env) & right(env)), free
+            return (lambda env: left(env) | right(env)), free
         if isinstance(f, (Exists, Forall)):
             return self._quantifier(f, v)
         raise TypeError(f"not a formula: {f!r}")
 
     def _quantifier(self, f, v):
-        z, ones = f.var, self.ones
-        body, free = self.formula(f.body, z)
-        free = free - {z}
-        if isinstance(f, Exists):
-            holds = lambda env: body(env) != 0
+        _check_budget(self.alg, self.max_elements)
+        z, n, exists = f.var, self.alg.size, isinstance(f, Exists)
+        inner = f.body
+        while isinstance(inner, Not):
+            inner = inner.arg
+        if isinstance(inner, (Exists, Forall)) and z in inner.free_vars:
+            # a column over z would decide the inner quantifier at all N
+            # values of z; try them in turn and stop at the first that
+            # decides this one
+            body, free = self.formula(f.body, None)
+
+            def holds(env):
+                env = dict(env)
+
+                def at_z(e):
+                    env[z] = e
+                    return body(env)
+
+                found = map(at_z, range(n))
+                return any(found) if exists else all(found)
         else:
-            holds = lambda env: body(env) == ones
+            body, free = self.formula(f.body, z)
+            body, ones = self.as_column(body, z in free), self.ones
+            if exists:
+                holds = lambda env: body(env) != 0
+            else:
+                holds = lambda env: body(env) == ones
+        free = free - {z}
         others = tuple(sorted(free - {v}))
         key = itemgetter(*others) if others else (lambda env: ())
         memo: dict = {}
-        n = self.alg.size
 
         def fn(env):
-            at = key(env)
-            got = memo.get(at)
+            bound = key(env)
+            got = memo.get(bound)
             if got is None:
                 if v not in free:
-                    got = ones if holds(env) else 0
+                    got = holds(env)
                 else:  # bit e: the formula at v = e
                     env, got = dict(env), 0
                     for e in range(n):
                         env[v] = e
                         if holds(env):
                             got |= 1 << e
-                memo[at] = got
+                memo[bound] = got
             return got
 
         return fn, free
@@ -429,20 +460,15 @@ def eval_term(t: Term, alg: Algebra, env: Optional[dict] = None) -> int:
     return fn(env)
 
 
-def term_planes(t: Term, alg: Algebra, var: str = "x",
-                env: Optional[dict] = None,
-                max_elements: int = DEFAULT_MAX_ELEMENTS) -> list[int]:
-    """The term's k planes over ``var``: bit e of plane[a] is set iff
-    atom a is in the term's value at var = e.  Its other variables must
-    be bound by env."""
-    _check_budget(alg, max_elements)
-    env = dict(env) if env else {}
+def term_planes(t: Term, alg: Algebra) -> list[int]:
+    """The k planes of a term in the one variable x: bit e of plane[a]
+    is set iff atom a is in the term's value at x = e.  Raises
+    ``BudgetExhausted`` above ``DEFAULT_MAX_ELEMENTS`` elements."""
+    _check_budget(alg, DEFAULT_MAX_ELEMENTS)
     planes = _Planes(alg)
-    fn, free = planes.term(t, var)
-    _check_bound(free - {var}, env)
-    if var in free:
-        return list(fn(env))
-    return planes.or_mask([0] * alg.n_atoms, fn(env))
+    fn, free = planes.term(t, "x")
+    _check_bound(free - {"x"}, {})
+    return list(planes.as_planes(fn, "x" in free)({}))
 
 
 def evaluate(f: Formula, alg: Algebra, env: Optional[dict] = None,
@@ -455,12 +481,13 @@ def evaluate(f: Formula, alg: Algebra, env: Optional[dict] = None,
     one N-bit truth int.  Each operation is exact bit by bit, as the
     module docstring argues one operation at a time.  A quantifier's
     memo key is the values of its free variables other than the one
-    its context varies.  Raises ``BudgetExhausted`` before building
-    anything if the algebra has more than ``max_elements`` elements.
+    its context varies.  A formula with a quantifier raises
+    ``BudgetExhausted`` before anything is evaluated if the algebra has
+    more than ``max_elements`` elements; one without needs no planes
+    and is evaluated at any size.
     """
-    _check_budget(alg, max_elements)
     env = dict(env) if env else {}
-    fn, free = _Planes(alg).formula(f, None)
+    fn, free = _Planes(alg, max_elements).formula(f, None)
     _check_bound(free, env)
     return bool(fn(env))
 

@@ -1,5 +1,6 @@
 """First-order language over complex algebras: terms, formulas, parser."""
 
+import time
 from itertools import permutations
 
 import pytest
@@ -330,12 +331,12 @@ SHAPES = [
 
 @ALGEBRAS
 def test_term_planes_match_naive_terms(alg):
-    for t in SHAPES:
-        for y in (0, 1, alg.one, alg.size // 3):
-            planes = term_planes(t, alg, "x", {"y": y})
-            for e in range(alg.size):
-                at_e = sum((p >> e & 1) << a for a, p in enumerate(planes))
-                assert at_e == naive_term(t, alg, {"x": e, "y": y}), (t, e, y)
+    # the shapes in x alone; those with y are checked under a quantifier
+    for t in [t for t in SHAPES if t.free_vars <= {"x"}] + [Const("1")]:
+        planes = term_planes(t, alg)
+        for e in range(alg.size):
+            at_e = sum((p >> e & 1) << a for a, p in enumerate(planes))
+            assert at_e == naive_term(t, alg, {"x": e}), (t, e)
 
 
 @pytest.mark.parametrize("alg", [TINY, B11, S3], ids=["tiny", "B11", "S3"])
@@ -370,23 +371,54 @@ def test_memo_and_environment_cases_match_naive_evaluator(alg):
         (And(Exists("y", Exists("x", Eq(X, Conv(Y)))), Eq(Y, Const("0"))), {"y": 0}),
         (Or(Forall("y", Exists("x", Eq(X, Comp(Y, Y)))), Eq(Y, Const("1"))),
          {"y": alg.one}),
+        # E y tries y in turn and stops at the first that contains 1',
+        # which is not 0; y = 0 must still be read after it
+        (And(Exists("y", Forall("x", Eq(Comp(X, Y), X))), Eq(Y, Const("0"))),
+         {"y": 0}),
+        # a quantifier under ~ under another quantifier over its variable
+        (Forall("y", Not(Exists("x", Eq(Comp(X, Y), X)))), {}),
     ]
     for f, env in cases:
         assert evaluate(f, alg, env) == naive_holds(f, alg, env), f
 
 
-def test_evaluate_refuses_algebras_over_budget():
+@pytest.fixture(scope="module")
+def big():
+    return Algebra(build_rainbow(8, 7))  # 61 atoms
+
+
+def test_evaluate_refuses_algebras_over_budget(big):
     f = Exists("x", Eq(Var("x"), Const("0")))
     assert evaluate(f, TINY, max_elements=4)
     with pytest.raises(BudgetExhausted, match="element budget 3 "):
         evaluate(f, TINY, max_elements=3)
+    with pytest.raises(BudgetExhausted, match=r"below the algebra.s 2\^61 "):
+        evaluate(f, big)
     with pytest.raises(BudgetExhausted):
-        term_planes(Var("x"), TINY, max_elements=3)
+        evaluate(parse_formula("1 = 1 | (E x . x = 0)"), big)
+    with pytest.raises(BudgetExhausted):
+        term_planes(Var("x"), big)
 
 
-def test_eval_term_builds_no_planes():
+def test_quantifier_free_sentences_need_no_budget(big):
+    # no quantifier, no planes: masks alone, whatever the size
+    assert evaluate(parse_formula("id ; 1 = 1 & ~(id = 0)"), big)
+    assert not evaluate(parse_formula("-id = 0"), big)
+    assert evaluate(parse_formula("x ; id = x"), big, {"x": 0b11 << 50})
+
+
+def test_nested_quantifiers_stop_at_the_first_decision():
+    # B(2,2) has 1024 elements: a column over y of E z would decide
+    # E z at every y, about a million column evaluations per sentence
+    t0 = time.perf_counter()
+    assert evaluate(parse_formula("E x . E y . E z . x ; y = z"), ALG22)
+    assert not evaluate(parse_formula("A x . A y . A z . x ; y = z"), ALG22)
+    assert evaluate(parse_formula("E x . ~(A y . ~(E z . x ; y = -z))"), ALG22)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_eval_term_builds_no_planes(big):
     # a term with every variable bound is a plain mask, whatever the size
-    big = Algebra(build_rainbow(8, 7))  # 61 atoms
     x = 0b101 << 40
     assert eval_term(Neg(Conv(Join(Var("x"), Const("0")))), big, {"x": x}) == (
         big.one ^ big.converse(x))

@@ -43,7 +43,7 @@ def terms_up_to(size: int) -> list[Term]:
 
 def planes(t: Term, alg: Algebra) -> tuple[int, ...]:
     """The term's value at every element x of the algebra, as planes."""
-    return tuple(term_planes(t, alg, "x"))
+    return tuple(term_planes(t, alg))
 
 
 @pytest.fixture(scope="module")
