@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Algebra
-from .rainbow import BLACK, WHITE, YELLOW, Rainbow
+from .algebra import Algebra, bits
+from .rainbow import BLACK, GREEN0, WHITE, YELLOW, Rainbow
 from .verdict import Verdict, check_counts
 
 DEFAULT_MAX_NODES = 12
@@ -92,6 +92,32 @@ def coherent(net: Network, alg: Algebra) -> Optional[tuple[int, int, int]]:
     return None
 
 
+def _coherent_at_new_node(net: Network, alg: Algebra) -> Optional[tuple[int, int, int]]:
+    """:func:`coherent` for a network whose last node z is the only new one.
+
+    Sound when the rest of the network is coherent, z's loop is an
+    identity atom and each z edge carries the converse of its reverse,
+    as :func:`_new_node_labels` makes them, and the structure is the
+    validated one :class:`~relalg.algebra.Algebra` requires.  Its
+    identity coherence then settles every triangle with a repeated node,
+    and its Peircean closure makes the six orderings of a triangle
+    {u, v, z} consistent together, so one ordering u < v < z is checked:
+    C(n-1, 2) lookups, not n³.  On a failure the full check runs, so the
+    triangle reported is the one :func:`coherent` finds first.
+    """
+    n = net.n
+    z = n - 1
+    lab = net.lab
+    comp = alg.comp
+    col = lab[z::n]  # col[u] = l(u, z)
+    for u in range(z):
+        luz = col[u]
+        for luv, lvz in zip(lab[u * n + u + 1 : u * n + z], col[u + 1 : z]):
+            if not comp[luv][lvz] >> luz & 1:
+                return coherent(net, alg)
+    return None
+
+
 def legal_moves(net: Network, alg: Algebra) -> list[ForallMove]:
     """All legal non-trivial moves, in (x, y, a, b) lexicographic order.
 
@@ -118,10 +144,11 @@ def red_clique(net: Network, rb: Rainbow, x: int, y: int) -> list[int]:
     """R(x, y): nodes with a green edge from x and a yellow edge from y."""
     n = net.n
     lab = net.lab
+    g_end = GREEN0 + rb.s
     return [
         z
-        for z in range(n)
-        if rb.is_green(lab[x * n + z]) and lab[y * n + z] == YELLOW
+        for z, (c, d) in enumerate(zip(lab[x * n : x * n + n], lab[y * n : y * n + n]))
+        if GREEN0 <= c < g_end and d == YELLOW
     ]
 
 
@@ -158,45 +185,58 @@ def _record_new_cliques(net: Network, rb: Rainbow, book: Book) -> Book:
     The injection is pinned by condition (1) on the clique's existing red
     labels and completed lexicographically.  For cliques already in the
     book, condition (1) is re-asserted.
+
+    Only cliques the last node z joins or anchors are checked, given the
+    ``book`` the response to z's parent left: any other R(x, y) has the
+    members, labels and book entry it had in the parent, which passed
+    these same checks.  z joins R(x, y) when l(x,z) is green and l(y,z)
+    yellow (self-converse colours, read from z's row); members of R(z, y)
+    are z's green neighbours and those of R(x, z) its yellow ones.
     """
     n = net.n
     lab = net.lab
+    z = n - 1
+    row = lab[z * n : z * n + n]
+    greens = [w for w, c in enumerate(row) if GREEN0 <= c < GREEN0 + rb.s]
+    yellows = [w for w, c in enumerate(row) if c == YELLOW]
+    pairs = [(x, y) for x in greens for y in yellows]
+    if len(greens) > 1:
+        pairs += [(z, y) for y in range(z)]
+    if len(yellows) > 1:
+        pairs += [(x, z) for x in range(z)]
     out = dict(book)
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            members = red_clique(net, rb, x, y)
-            if len(members) < 2:
-                continue
-            pins: dict[int, int] = {}
-            for w, w2 in itertools.combinations(members, 2):
-                i = rb.green_index(lab[x * n + w])
-                i2 = rb.green_index(lab[x * n + w2])
-                if i == i2:
+    for x, y in sorted(pairs):
+        members = red_clique(net, rb, x, y)
+        if len(members) < 2:
+            continue
+        pins: dict[int, int] = {}
+        for w, w2 in itertools.combinations(members, 2):
+            i = rb.green_index(lab[x * n + w])
+            i2 = rb.green_index(lab[x * n + w2])
+            if i == i2:
+                raise StrategyFailure(
+                    f"clique R({x},{y}) has repeated green index g{i}"
+                )
+            lw = lab[w * n + w2]
+            if not rb.is_red(lw):
+                raise StrategyFailure(
+                    f"clique R({x},{y}) edge ({w},{w2}) not red"
+                )
+            j, j2 = rb.red_indices(lw)
+            for idx, val in ((i, j), (i2, j2)):
+                if pins.setdefault(idx, val) != val:
                     raise StrategyFailure(
-                        f"clique R({x},{y}) has repeated green index g{i}"
+                        f"clique R({x},{y}) pins conflict at g{idx}"
                     )
-                lw = lab[w * n + w2]
-                if not rb.is_red(lw):
+        if (x, y) in out:
+            h = out[(x, y)]
+            for idx, val in pins.items():
+                if h[idx] != val:
                     raise StrategyFailure(
-                        f"clique R({x},{y}) edge ({w},{w2}) not red"
+                        f"condition (1) broken for R({x},{y})"
                     )
-                j, j2 = rb.red_indices(lw)
-                for idx, val in ((i, j), (i2, j2)):
-                    if pins.setdefault(idx, val) != val:
-                        raise StrategyFailure(
-                            f"clique R({x},{y}) pins conflict at g{idx}"
-                        )
-            if (x, y) in out:
-                h = out[(x, y)]
-                for idx, val in pins.items():
-                    if h[idx] != val:
-                        raise StrategyFailure(
-                            f"condition (1) broken for R({x},{y})"
-                        )
-            else:
-                out[(x, y)] = least_injection(rb.s, rb.t, pins)
+        else:
+            out[(x, y)] = least_injection(rb.s, rb.t, pins)
     return out
 
 
@@ -242,13 +282,15 @@ def rainbow_exists_strategy(
     n = net.n
     lab = net.lab
     x, y, a, b = move.x, move.y, move.a, move.b
+    g_end = GREEN0 + rb.s
+    a_green, b_green = GREEN0 <= a < g_end, GREEN0 <= b < g_end
 
     # which red clique (if any) the new node joins
     ckey = None
-    if rb.is_green(a) and b == YELLOW:
+    if a_green and b == YELLOW:
         ckey = (x, y)
         move_green = a
-    elif a == YELLOW and rb.is_green(b):
+    elif a == YELLOW and b_green:
         ckey = (y, x)
         move_green = b
     members: list[int] = []
@@ -274,8 +316,8 @@ def rainbow_exists_strategy(
             continue
         la = lab[w * n + x]
         lb = lab[w * n + y]
-        green_x = rb.is_green(la) and rb.is_green(a)
-        green_y = rb.is_green(lb) and rb.is_green(b)
+        green_x = a_green and GREEN0 <= la < g_end
+        green_y = b_green and GREEN0 <= lb < g_end
         if not green_x and not green_y:
             c = WHITE
         elif green_x and not (lb == YELLOW and b == YELLOW):
@@ -306,18 +348,18 @@ def rainbow_exists_strategy(
 def canonical_state(net: Network, book: Book) -> bytes:
     """A canonical key for (network, book) up to node renaming.
 
-    Nodes are grouped by an invariant (loop label plus sorted incident
-    label pairs); the minimum over the remaining permutations is taken.
+    Nodes are grouped and ordered by an invariant, the loop label and
+    sorted row, which an isomorphism preserves (it maps a node's row
+    onto its image's row); so isomorphic states reach the same
+    relabellings over the permutations inside the groups, and the least
+    is the key.  With labels in converse pairs the invariant splits and
+    orders nodes as the sorted (out, in) label pairs would.
     """
     n = net.n
     lab = net.lab
-    inv = []
-    for u in range(n):
-        incident = sorted(
-            (lab[u * n + v], lab[v * n + u]) for v in range(n) if v != u
-        )
-        inv.append((lab[u * n + u], tuple(incident)))
-    order = sorted(range(n), key=lambda u: inv[u])
+    rows = [lab[u * n : u * n + n] for u in range(n)]
+    inv = [(rows[u][u], sorted(rows[u])) for u in range(n)]
+    order = sorted(range(n), key=inv.__getitem__)
     # consecutive equal-invariant groups
     groups = []
     start = 0
@@ -325,14 +367,16 @@ def canonical_state(net: Network, book: Book) -> bytes:
         if i == n or inv[order[i]] != inv[order[start]]:
             groups.append(order[start:i])
             start = i
-    best = None
-    for perm_parts in itertools.product(
-        *(itertools.permutations(g) for g in groups)
-    ):
-        perm = [u for part in perm_parts for u in part]  # new index -> old node
-        relab = bytes(
-            lab[perm[i] * n + perm[j]] for i in range(n) for j in range(n)
+    if len(groups) == n:
+        perms = [order]
+    else:
+        perms = (
+            [u for part in parts for u in part]
+            for parts in itertools.product(*map(itertools.permutations, groups))
         )
+    best = None
+    for perm in perms:  # new index -> old node
+        relab = bytes(rows[p][q] for p in perm for q in perm)
         if best is not None and relab > best[0]:
             continue
         pos = {old: i for i, old in enumerate(perm)}
@@ -399,7 +443,9 @@ def verify_exists_strategy(
                         f"strategy failure: {exc}")
                 return Verdict("counterexample", [line],
                                "the witness strategy has no reply", states=counter[0])
-            tri = coherent(net2, alg)
+            tri = _coherent_at_new_node(net2, alg)
+            if check_invariants:
+                assert tri == coherent(net2, alg), "incremental coherence check"
             if tri is not None:
                 res = Verdict("counterexample", [f"incoherent triangle {tri}"],
                               "the witness strategy made an incoherent network",
@@ -456,24 +502,25 @@ def assert_strategy_invariants(
             continue
         c = net2.label(w, z)
         assert not rb.is_green(c) and c != YELLOW, "strategy used green/yellow"
-    # every recorded clique satisfies condition (1); membership is unique
+    # the book holds exactly the cliques of a full recompute, each
+    # satisfying condition (1); membership is unique
     in_clique = set()
-    for x in range(m):
-        for y in range(m):
-            if x == y:
-                continue
-            members = red_clique(net2, rb, x, y)
-            if z in members:
-                in_clique.add((x, y))
-            if len(members) < 2:
-                continue
-            assert (x, y) in book, f"clique R({x},{y}) missing from book"
-            h = book[(x, y)]
-            for w, w2 in itertools.combinations(members, 2):
-                i = rb.green_index(net2.label(x, w))
-                i2 = rb.green_index(net2.label(x, w2))
-                assert i != i2
-                assert net2.label(w, w2) == rb.red(h[i], h[i2])
+    cliques = set()
+    for x, y in itertools.permutations(range(m), 2):
+        members = red_clique(net2, rb, x, y)
+        if z in members:
+            in_clique.add((x, y))
+        if len(members) < 2:
+            continue
+        cliques.add((x, y))
+        h = book.get((x, y))
+        assert h is not None, f"clique R({x},{y}) missing from book"
+        for w, w2 in itertools.combinations(members, 2):
+            i = rb.green_index(net2.label(x, w))
+            i2 = rb.green_index(net2.label(x, w2))
+            assert i != i2
+            assert net2.label(w, w2) == rb.red(h[i], h[i2])
+    assert set(book) == cliques, "book entries without a clique"
     assert len(in_clique) <= 1, "new node joined two cliques"
 
 
@@ -490,11 +537,15 @@ def _exists_replies(net: Network, alg: Algebra, move: ForallMove):
     """All coherent replies to a move: an existing witness, or one new node.
 
     New-node labellings are enumerated one edge at a time, pruning as
-    soon as a triangle is incoherent.  Only triangles are checked: the
-    new loop and the converse labels are right by construction in
-    :func:`_new_node_labels`, and the old network is coherent.  With no
-    node outside {x, y} the triangles inside {x, y, z} are all there is,
-    so the forced-edge check alone decides that candidate.
+    soon as a triangle is incoherent.  Only triangles through the new
+    node z are checked: the new loop and the converse labels are right
+    by construction in :func:`_new_node_labels`, and the old network is
+    coherent.  By the Peircean closure of the validated structure that
+    :class:`~relalg.algebra.Algebra` requires, the orderings of a
+    triangle are consistent together, so one ordering decides the forced
+    triangle {x, y, z}, and the labels of w-z that keep each {w, u, z}
+    coherent, u labelled so far, are the atoms of the meet of
+    comp[l(w, u)][l(u, z)], tried in ascending order like every atom.
     """
     st = alg.structure
     n = net.n
@@ -509,40 +560,26 @@ def _exists_replies(net: Network, alg: Algebra, move: ForallMove):
     m = n + 1
     z = n
     comp = alg.comp
-    fixed = {x, y}
-    todo = [w for w in range(n) if w not in fixed]
-    k = st.n_atoms
+    done = sorted({x, y})
+    todo = [w for w in range(n) if w not in done]
 
     def assign(idx: int):
         if idx == len(todo):
             yield Network(m, tuple(base))
             return
         w = todo[idx]
-        for c in range(k):
+        mask = alg.one
+        for u in done:
+            mask &= comp[base[w * m + u]][base[u * m + z]]
+        done.append(w)
+        for c in bits(mask):
             base[w * m + z] = c
             base[z * m + w] = st.conv[c]
-            good = True
-            # check triangles of w-z against fixed and earlier-assigned nodes
-            for u in list(fixed) + todo[:idx]:
-                if not comp[base[u * m + w]][base[w * m + z]] >> base[u * m + z] & 1:
-                    good = False
-                    break
-                if not comp[base[w * m + u]][base[u * m + z]] >> base[w * m + z] & 1:
-                    good = False
-                    break
-                if not comp[base[w * m + z]][base[z * m + u]] >> base[w * m + u] & 1:
-                    good = False
-                    break
-            if good:
-                yield from assign(idx + 1)
-        base[w * m + z] = 0
-        base[z * m + w] = 0
+            yield from assign(idx + 1)
+        done.pop()
 
-    # the forced edges against each other, then each later edge in assign
-    for (u, v, t) in itertools.product((x, y, z), repeat=3):
-        if not comp[base[u * m + v]][base[v * m + t]] >> base[u * m + t] & 1:
-            return
-    yield from assign(0)
+    if comp[a][b] >> lab[x * n + y] & 1:
+        yield from assign(0)
 
 
 def verify_forall_refutation(

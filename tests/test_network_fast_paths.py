@@ -1,0 +1,386 @@
+"""The network game's per-child fast paths against the full checks.
+
+The searches check each child only where it differs from its parent:
+triangles and red cliques through the new node, a one-pass canonical
+key, and mask-pruned refutation replies.  This file keeps test-local
+copies of the whole-network checks they replaced and holds the fast
+engine to identical verdicts, and the new key to the same classes.
+"""
+
+import itertools
+import random
+from dataclasses import astuple
+
+import pytest
+
+from relalg import Algebra, Rainbow, networks
+from relalg.networks import (
+    ForallMove,
+    Network,
+    StrategyFailure,
+    least_injection,
+    verify_exists_strategy,
+    verify_forall_refutation,
+)
+from relalg.rainbow import WHITE, YELLOW
+
+# ---------------------------------------------------------------------------
+# the full per-child checks
+
+
+def full_coherent(net, alg):
+    """Every ordered triple of nodes, loops and converses (the search
+    called this on every child)."""
+    st = alg.structure
+    n = net.n
+    lab = net.lab
+    comp = alg.comp
+    for x in range(n):
+        if lab[x * n + x] not in st.identity:
+            return (x, x, x)
+        for y in range(n):
+            if lab[y * n + x] != st.conv[lab[x * n + y]]:
+                return (x, y, y)
+            row = lab[x * n + y]
+            for z in range(n):
+                if not comp[row][lab[y * n + z]] >> lab[x * n + z] & 1:
+                    return (x, y, z)
+    return None
+
+
+def full_red_clique(net, rb, x, y):
+    n = net.n
+    lab = net.lab
+    return [
+        z for z in range(n)
+        if rb.is_green(lab[x * n + z]) and lab[y * n + z] == YELLOW
+    ]
+
+
+def full_record_new_cliques(net, rb, book):
+    """Every red clique of the network, re-checked from scratch."""
+    n = net.n
+    lab = net.lab
+    out = dict(book)
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            members = full_red_clique(net, rb, x, y)
+            if len(members) < 2:
+                continue
+            pins = {}
+            for w, w2 in itertools.combinations(members, 2):
+                i = rb.green_index(lab[x * n + w])
+                i2 = rb.green_index(lab[x * n + w2])
+                if i == i2:
+                    raise StrategyFailure(
+                        f"clique R({x},{y}) has repeated green index g{i}"
+                    )
+                lw = lab[w * n + w2]
+                if not rb.is_red(lw):
+                    raise StrategyFailure(f"clique R({x},{y}) edge ({w},{w2}) not red")
+                j, j2 = rb.red_indices(lw)
+                for idx, val in ((i, j), (i2, j2)):
+                    if pins.setdefault(idx, val) != val:
+                        raise StrategyFailure(
+                            f"clique R({x},{y}) pins conflict at g{idx}"
+                        )
+            if (x, y) in out:
+                h = out[(x, y)]
+                for idx, val in pins.items():
+                    if h[idx] != val:
+                        raise StrategyFailure(f"condition (1) broken for R({x},{y})")
+            else:
+                out[(x, y)] = least_injection(rb.s, rb.t, pins)
+    return out
+
+
+def full_canonical_state(net, book):
+    """Invariant of sorted incident label pairs, then the least key over
+    the product of the groups' permutations."""
+    n = net.n
+    lab = net.lab
+    inv = []
+    for u in range(n):
+        incident = sorted(
+            (lab[u * n + v], lab[v * n + u]) for v in range(n) if v != u
+        )
+        inv.append((lab[u * n + u], tuple(incident)))
+    order = sorted(range(n), key=lambda u: inv[u])
+    groups = []
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or inv[order[i]] != inv[order[start]]:
+            groups.append(order[start:i])
+            start = i
+    best = None
+    for perm_parts in itertools.product(
+        *(itertools.permutations(g) for g in groups)
+    ):
+        perm = [u for part in perm_parts for u in part]
+        relab = bytes(lab[perm[i] * n + perm[j]] for i in range(n) for j in range(n))
+        if best is not None and relab > best[0]:
+            continue
+        pos = {old: i for i, old in enumerate(perm)}
+        bkey = tuple(sorted((pos[u], pos[v]) + h for (u, v), h in book.items()))
+        key = (relab, bkey)
+        if best is None or key < best:
+            best = key
+    relab, bkey = best
+    return relab + repr(bkey).encode()
+
+
+def full_exists_replies(net, alg, move):
+    """Every atom on every new edge, three orderings of each triangle."""
+    st = alg.structure
+    n = net.n
+    lab = net.lab
+    x, y, a, b = move.x, move.y, move.a, move.b
+    for z in range(n):
+        if lab[x * n + z] == a and lab[z * n + y] == b:
+            yield net
+    base = networks._new_node_labels(net, st, move)
+    if base is None:
+        return
+    m = n + 1
+    z = n
+    comp = alg.comp
+    fixed = {x, y}
+    todo = [w for w in range(n) if w not in fixed]
+    k = st.n_atoms
+
+    def assign(idx):
+        if idx == len(todo):
+            yield Network(m, tuple(base))
+            return
+        w = todo[idx]
+        for c in range(k):
+            base[w * m + z] = c
+            base[z * m + w] = st.conv[c]
+            good = True
+            for u in list(fixed) + todo[:idx]:
+                if (
+                    not comp[base[u * m + w]][base[w * m + z]] >> base[u * m + z] & 1
+                    or not comp[base[w * m + u]][base[u * m + z]] >> base[w * m + z] & 1
+                    or not comp[base[w * m + z]][base[z * m + u]] >> base[w * m + u] & 1
+                ):
+                    good = False
+                    break
+            if good:
+                yield from assign(idx + 1)
+        base[w * m + z] = 0
+        base[z * m + w] = 0
+
+    for (u, v, t) in itertools.product((x, y, z), repeat=3):
+        if not comp[base[u * m + v]][base[v * m + t]] >> base[u * m + t] & 1:
+            return
+    yield from assign(0)
+
+
+def use_full_checks(mp):
+    mp.setattr(networks, "_coherent_at_new_node", full_coherent)
+    mp.setattr(networks, "_record_new_cliques", full_record_new_cliques)
+    mp.setattr(networks, "canonical_state", full_canonical_state)
+    mp.setattr(networks, "_exists_replies", full_exists_replies)
+
+
+# ---------------------------------------------------------------------------
+# identical verdicts
+
+RB = {st: Rainbow.make(*st) for st in [(2, 2), (2, 3), (3, 2), (4, 3), (5, 4), (6, 5)]}
+
+CASES = (
+    # the benchmark's exists and refutation cases
+    [(f"exists B{s, t} rounds {r}", lambda s=s, t=t, r=r: verify_exists_strategy(RB[s, t], r))
+     for s, t, r in [(2, 2, 2), (2, 2, 3), (2, 3, 2), (2, 3, 3), (3, 2, 4), (4, 3, 4)]]
+    + [(f"refute B{s, s - 1} max_rounds {s + 2}",
+        lambda s=s: verify_forall_refutation(RB[s, s - 1], s + 2))
+       for s in range(3, 7)]
+    + [(f"exists B(2, 2) rounds 4 budget {b}",
+        lambda b=b: verify_exists_strategy(RB[2, 2], 4, max_states=b))
+       for b in (3, 50, 500)]
+    + [(f"refute B(5, 4) max_rounds {r}", lambda r=r: verify_forall_refutation(RB[5, 4], r))
+       for r in range(8)]
+)
+
+
+@pytest.mark.parametrize("run", [c[1] for c in CASES], ids=[c[0] for c in CASES])
+def test_fast_paths_match_full_checks(run, monkeypatch):
+    fast = run()
+    with monkeypatch.context() as mp:
+        use_full_checks(mp)
+        full = run()
+    assert astuple(fast) == astuple(full)
+
+
+def test_full_checks_are_the_ones_patched(monkeypatch):
+    # a search under the full checks must call each of them
+    seen = set()
+    with monkeypatch.context() as mp:
+        use_full_checks(mp)
+        for name in ("_coherent_at_new_node", "_record_new_cliques",
+                     "canonical_state", "_exists_replies"):
+            fn = getattr(networks, name)
+            mp.setattr(networks, name,
+                       lambda *a, fn=fn, name=name: seen.add(name) or fn(*a))
+        verify_exists_strategy(RB[2, 2], 3)
+        verify_forall_refutation(RB[3, 2], 5)
+    assert len(seen) == 4
+
+
+# ---------------------------------------------------------------------------
+# each check on its own, incoherent and broken children included
+
+
+def calls_to(name, run):
+    """The arguments of every call ``run()`` makes to networks.<name>."""
+    out = []
+    real = getattr(networks, name)
+
+    def record(*args):
+        out.append(args)
+        return real(*args)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(networks, name, record)
+    try:
+        run()
+    finally:
+        mp.undo()
+    return out
+
+
+def with_edge(net, u, z, c, conv):
+    """``net`` with c on u-z and its converse on z-u."""
+    n = net.n
+    lab = list(net.lab)
+    lab[u * n + z], lab[z * n + u] = c, conv[c]
+    return Network(n, tuple(lab))
+
+
+def test_coherence_at_new_node_matches_full_check():
+    # every atom on every edge of the last node of each child: the
+    # incremental check agrees with the full one, incoherent ones included
+    rb = RB[2, 2]
+    st = rb.structure
+    failures = 0
+    for net, alg in calls_to("_coherent_at_new_node",
+                             lambda: verify_exists_strategy(rb, 3)):
+        for u in range(net.n - 1):
+            for c in range(st.n_atoms):
+                child = with_edge(net, u, net.n - 1, c, st.conv)
+                tri = networks._coherent_at_new_node(child, alg)
+                assert tri == networks.coherent(child, alg)
+                failures += tri is not None
+    assert failures > 1000
+
+
+def outcome(record, net, rb, book):
+    try:
+        return record(net, rb, book)
+    except StrategyFailure as exc:
+        return str(exc)
+
+
+def test_clique_records_match_full_recompute():
+    # lines on B(2, 2) after the white opening in which the new node
+    # joins R(0, 1), anchors R(4, 1) and anchors R(0, 4); then every atom
+    # on every edge of the new node, so that the checks also fail
+    rb = RB[2, 2]
+    st = rb.structure
+    g0, g1 = rb.green(0), rb.green(1)
+    attack = [ForallMove(0, 1, g0, YELLOW), ForallMove(0, 1, g1, YELLOW)]
+    lines = [attack, attack + [ForallMove(2, 3, g0, g1)],
+             attack + [ForallMove(2, 3, YELLOW, YELLOW)]]
+
+    def play():
+        for moves in lines:
+            net, book = networks.initial_response(Algebra(st), WHITE), {}
+            for move in moves:
+                net, book = networks.rainbow_exists_strategy(rb, net, book, move)
+
+    calls = calls_to("_record_new_cliques", play)
+    assert (0, 1) in full_record_new_cliques(*calls[1])
+    assert (4, 1) in full_record_new_cliques(*calls[4])
+    assert (0, 4) in full_record_new_cliques(*calls[7])
+    results = []
+    for net, _, book in calls:
+        for u in range(net.n - 1):
+            for c in range(st.n_atoms):
+                child = with_edge(net, u, net.n - 1, c, st.conv)
+                fast = outcome(networks._record_new_cliques, child, rb, book)
+                assert fast == outcome(full_record_new_cliques, child, rb, book)
+                results.append(fast)
+    assert any(isinstance(r, str) for r in results)
+
+
+def test_replies_match_full_enumeration():
+    # every move, legal or not, on the networks the refutation of B(2, 2)
+    # reaches: the same replies in the same order
+    rb = RB[2, 2]
+    alg = Algebra(rb.structure)
+    atoms = range(rb.structure.n_atoms)
+    nets = [net for net, _, _ in calls_to(
+        "_exists_replies", lambda: verify_forall_refutation(rb, 4))]
+    assert [net.n for net in nets] == [2, 3]
+    replies = 0
+    for net in nets:
+        for x, y, a, b in itertools.product(range(net.n), range(net.n), atoms, atoms):
+            move = ForallMove(x, y, a, b)
+            fast = list(networks._exists_replies(net, alg, move))
+            assert fast == list(full_exists_replies(net, alg, move))
+            replies += len(fast)
+    assert replies > 100
+
+
+# ---------------------------------------------------------------------------
+# the canonical key
+
+
+def reached_states(rb, rounds):
+    """Every (network, book) the search keys, in call order."""
+    return calls_to("canonical_state", lambda: verify_exists_strategy(rb, rounds))
+
+
+def renamed(net, book, perm):
+    n = net.n
+    lab = [0] * (n * n)
+    for u in range(n):
+        for v in range(n):
+            lab[perm[u] * n + perm[v]] = net.lab[u * n + v]
+    return Network(n, tuple(lab)), {(perm[u], perm[v]): h for (u, v), h in book.items()}
+
+
+@pytest.mark.parametrize("s,t,rounds", [(2, 3, 2), (3, 2, 4)])
+def test_canonical_state_is_invariant_and_splits_as_the_full_key(s, t, rounds):
+    states = reached_states(Rainbow.make(s, t), rounds)
+    assert len(states) > 100
+    rng = random.Random(f"{s},{t},{rounds}")
+    new_keys, old_keys = [], []
+    for net, book in states:
+        key = networks.canonical_state(net, book)
+        perm = list(range(net.n))
+        rng.shuffle(perm)
+        assert networks.canonical_state(*renamed(net, book, perm)) == key
+        new_keys.append(key)
+        old_keys.append(full_canonical_state(net, book))
+    # the same classes: each new key goes with exactly one old key
+    pairs = set(zip(new_keys, old_keys))
+    assert len(pairs) == len(set(new_keys)) == len(set(old_keys))
+
+
+def test_canonical_state_is_the_old_key_with_mixed_loops():
+    # the invariant orders nodes as the old one did, loop label first, so
+    # the key is the old key byte for byte; two loop labels check the order
+    rng = random.Random(5)
+    for _ in range(2000):
+        n = rng.randrange(1, 6)
+        lab = [0] * (n * n)
+        for u in range(n):
+            lab[u * n + u] = rng.choice((1, 3))
+            for v in range(u + 1, n):
+                lab[u * n + v] = lab[v * n + u] = rng.randrange(5)
+        net = Network(n, tuple(lab))
+        book = {(0, n - 1): (1, 0)} if n > 1 else {}
+        assert networks.canonical_state(net, book) == full_canonical_state(net, book)

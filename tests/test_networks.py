@@ -153,9 +153,13 @@ def test_canonical_state_separates_distinct_networks():
 
 
 def test_verify_exists_strategy_short_run_with_invariants():
-    res = verify_exists_strategy(RB22, rounds=3, check_invariants=True)
-    assert res.verified
-    assert res.states > 0
+    # the invariants also hold the per-child checks to the full ones
+    for s, t, rounds in [(2, 2, 3), (2, 3, 2), (3, 2, 4)]:
+        rb = Rainbow.make(s, t)
+        res = verify_exists_strategy(rb, rounds=rounds, check_invariants=True)
+        assert res == verify_exists_strategy(rb, rounds=rounds)
+        assert res.verified == (s <= t)
+        assert res.states > 0
 
 
 def test_verify_exists_strategy_inconclusive_on_tiny_budget():
