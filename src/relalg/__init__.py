@@ -1,14 +1,7 @@
 """Finite relation algebras, rainbow constructions and their games."""
 
 from .atoms import AtomStructure, make_structure, peircean_transforms
-from .algebra import (
-    Algebra,
-    Element,
-    ProperAlgebra,
-    Representation,
-    check_axioms,
-    check_representation,
-)
+from .algebra import Algebra, Element, check_axioms
 from .rainbow import Rainbow, build_rainbow, predicted_representable
 from .networks import (
     Network,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import itemgetter, or_
+from operator import itemgetter, mul, or_
 
 from .atoms import AtomStructure
 
@@ -202,9 +202,23 @@ def check_axioms(structure: AtomStructure) -> list[str]:
     associativity over all atom triples.  Returns one message per failed
     law (with the first witness found); an empty list means all laws
     hold.
+
+    Associativity, ``(a;b);c = a;(b;c)``, is checked for every c at once
+    on packed rows: slot c of an int is its bits c*k .. c*k+k-1.  Row e
+    of the table packs into ``packed[e]``, with ``comp[e][c]`` in slot c,
+    so the OR of ``packed[e]`` over the atoms e of a;b holds ``(a;b);c``
+    in each slot c.  ``spread[b][f]`` has one bit, the lowest, in each
+    slot c with f in b;c, so ``comp[a][f] * spread[b][f]`` is
+    ``comp[a][f]`` copied into those slots (it is below 2^k, so no
+    product spills into the next slot), and the OR of these over f holds
+    ``a;(b;c)`` in each slot c.  The lowest set bit of the two sides'
+    XOR lies in the slot of the least c where they differ, so with a
+    outside b the first witness is the one the triple loop
+    ``for a, for b, for c`` meets first.
     """
     alg = Algebra(structure)
     k = alg.n_atoms
+    comp = alg.comp
     names = structure.names
     bad = structure.validate()
     ident = alg.identity_mask
@@ -219,7 +233,7 @@ def check_axioms(structure: AtomStructure) -> list[str]:
 
     for a in range(k):
         for b in range(k):
-            lhs = alg.converse(alg.comp[a][b])
+            lhs = alg.converse(comp[a][b])
             rhs = alg.compose(1 << alg.conv_atom[b], 1 << alg.conv_atom[a])
             if lhs != rhs:
                 bad.append(
@@ -230,151 +244,26 @@ def check_axioms(structure: AtomStructure) -> list[str]:
             continue
         break
 
+    slot = [1 << (c * k) for c in range(k)]
+    packed = [sum(map(mul, row, slot)) for row in comp]
+    spread = [[0] * k for _ in range(k)]
+    for b, c, f in structure.consistent:  # f in b;c
+        spread[b][f] |= slot[c]
     for a in range(k):
+        row = comp[a]
         for b in range(k):
-            ab = alg.comp[a][b]
-            for c in range(k):
-                if alg.compose(ab, 1 << c) != alg.compose(1 << a, alg.comp[b][c]):
-                    bad.append(
-                        "associativity fails at "
-                        f"({names[a]}, {names[b]}, {names[c]})"
-                    )
-                    break
-            else:
-                continue
-            break
+            lhs = reduce(or_, map(packed.__getitem__, bits(row[b])), 0)
+            rhs = reduce(or_, map(mul, row, spread[b]))
+            if lhs != rhs:
+                diff = lhs ^ rhs
+                c = ((diff & -diff).bit_length() - 1) // k
+                bad.append(
+                    "associativity fails at "
+                    f"({names[a]}, {names[b]}, {names[c]})"
+                )
+                break
         else:
             continue
         break
 
     return bad
-
-
-# ---------------------------------------------------------------------------
-# proper algebras and representations
-
-
-@dataclass(frozen=True)
-class ProperAlgebra:
-    """An algebra of binary relations below an equivalence relation E."""
-
-    base: frozenset
-    e: frozenset  # ordered pairs; must be an equivalence relation
-
-    def __post_init__(self):
-        field = {x for x, _ in self.e} | {y for _, y in self.e}
-        if not field <= self.base:
-            raise ValueError("relation mentions points outside the base")
-        for x in field:
-            if (x, x) not in self.e:
-                raise ValueError(f"not reflexive at {x!r}")
-        for x, y in self.e:
-            if (y, x) not in self.e:
-                raise ValueError(f"not symmetric at ({x!r}, {y!r})")
-        for x, y in self.e:
-            for y2, z in self.e:
-                if y2 == y and (x, z) not in self.e:
-                    raise ValueError(f"not transitive via {y!r}")
-
-    @property
-    def identity_pairs(self) -> frozenset:
-        return frozenset((x, x) for x in self.base if (x, x) in self.e)
-
-
-@dataclass(frozen=True)
-class Representation:
-    """A proposed embedding of an atom structure's algebra into P(E),
-    given by the images of the atoms."""
-
-    target: ProperAlgebra
-    atom_images: dict  # atom id -> frozenset of ordered pairs
-
-
-def check_representation(structure: AtomStructure, rep: Representation) -> list[str]:
-    """All violation reports (empty list = a genuine representation).
-
-    Checks, with one witness per failed law: images disjoint and
-    nonempty with union E, identity atoms mapping exactly onto the
-    diagonal of E, converse as pair reversal, and composition both
-    sound (every two-step path composes to a consistent atom) and
-    saturated (every consistent triple is witnessed along every pair).
-    """
-    k = structure.n_atoms
-    if not set(rep.atom_images) <= set(range(k)):
-        raise ValueError("atom image map mentions unknown atoms")
-    images = {a: frozenset(rep.atom_images.get(a, ())) for a in range(k)}
-    problems = []
-
-    for a, img in images.items():
-        if not img:
-            problems.append(f"atom image empty: {structure.names[a]}")
-            break
-    owner: dict = {}
-    for a, img in images.items():
-        for pair in img:
-            if pair in owner:
-                problems.append(
-                    f"images overlap at {pair!r}: "
-                    f"{structure.names[owner[pair]]} and {structure.names[a]}"
-                )
-                break
-            owner[pair] = a
-        else:
-            continue
-        break
-    if set(owner) != set(rep.target.e):
-        problems.append("union of atom images differs from E")
-
-    diag = {p for a in structure.identity for p in images[a]}
-    if diag != set(rep.target.identity_pairs):
-        problems.append("identity atoms do not cover exactly the diagonal")
-
-    for a, img in images.items():
-        for x, y in img:
-            if (y, x) not in images[structure.conv[a]]:
-                problems.append(
-                    f"converse breach: ({x!r}, {y!r}) in {structure.names[a]}"
-                )
-                break
-        else:
-            continue
-        break
-
-    for (x, z), a in owner.items():
-        stop = False
-        for (z2, y), b in owner.items():
-            if z2 != z:
-                continue
-            c = owner.get((x, y))
-            if c is None or (a, b, c) not in structure.consistent:
-                problems.append(
-                    "composition unsound: "
-                    f"{structure.names[a]};{structure.names[b]} over "
-                    f"({x!r}, {z!r}, {y!r})"
-                )
-                stop = True
-                break
-        if stop:
-            break
-
-    by_atom: dict = {}
-    for pair, a in owner.items():
-        by_atom.setdefault(a, []).append(pair)
-    for (a, b, c) in sorted(structure.consistent):
-        bad = None
-        for x, y in by_atom.get(c, ()):
-            if not any(
-                (x, z) in images[a] and (z, y) in images[b]
-                for z in rep.target.base
-            ):
-                bad = (x, y)
-                break
-        if bad is not None:
-            problems.append(
-                "composition unsaturated: no witness for "
-                f"({structure.names[a]}, {structure.names[b]}, "
-                f"{structure.names[c]}) at {bad!r}"
-            )
-            break
-
-    return problems

@@ -41,17 +41,23 @@ def peircean_transforms(t: Triple, conv: Sequence[int]) -> list[Triple]:
 
 
 def close_under_transforms(triples: Iterable[Triple], conv: Sequence[int]) -> set[Triple]:
-    """Close a set of triples under the Peircean transforms."""
+    """Close a set of triples under the Peircean transforms.
+
+    When conv is an involution, so are the transforms
+    g1: (a,b,c) -> (a~,c,b) and g2: (a,b,c) -> (b~,a~,c~), and they
+    generate the other four: g1 then g2, g2 then g1, and g1, g2, g1 in
+    turn give the fifth, fourth and third entries of
+    :func:`peircean_transforms`.  So the six transforms form a group,
+    the six transforms of t are t's orbit, and the closure is the union
+    of the inputs' orbits.  Each orbit is built once, from the first of
+    its members met; each later member costs one lookup.  For any other
+    conv the set returned need not be closed, and
+    :meth:`AtomStructure.validate` rejects the structure.
+    """
     out: set[Triple] = set()
-    pending = list(triples)
-    while pending:
-        t = pending.pop()
-        if t in out:
-            continue
-        for u in peircean_transforms(t, conv):
-            if u not in out:
-                out.add(u)
-                pending.append(u)
+    for t in triples:
+        if t not in out:
+            out.update(peircean_transforms(t, conv))
     return out
 
 
@@ -106,7 +112,14 @@ class AtomStructure:
     def validate(self) -> list[str]:
         """Return every violated structural invariant, with a witness.
 
-        An empty list means the structure is well formed.
+        An empty list means the structure is well formed.  Peircean
+        closure is first decided from the two generators g1 and g2 of
+        :func:`close_under_transforms`: when conv is an involution, a set
+        that both map into itself is closed under all six transforms,
+        since the other four are products of g1 and g2.  Only when that
+        check fails, or conv is not an involution, does the per-triple
+        loop run; it alone writes the closure messages, so the list is
+        the one it gives.
         """
         k = len(self.names)
         bad: list[str] = []
@@ -120,17 +133,25 @@ class AtomStructure:
                     f"involution: conv(conv({self.names[a]})) = "
                     f"{self.names[self.conv[self.conv[a]]]}"
                 )
+        involutive = not bad
         for e in self.identity:
             if self.conv[e] not in self.identity:
                 bad.append(f"identity not closed under converse at {self.names[e]}")
-        for t in self.consistent:
-            for u in peircean_transforms(t, self.conv):
-                if u not in self.consistent:
-                    bad.append(
-                        f"Peircean closure: {self._fmt(t)} consistent "
-                        f"but transform {self._fmt(u)} is not"
-                    )
-                    break
+        conv, consistent = self.conv, self.consistent
+        closed = (
+            involutive
+            and {(conv[a], c, b) for a, b, c in consistent} <= consistent
+            and {(conv[b], conv[a], conv[c]) for a, b, c in consistent} <= consistent
+        )
+        if not closed:
+            for t in self.consistent:
+                for u in peircean_transforms(t, self.conv):
+                    if u not in self.consistent:
+                        bad.append(
+                            f"Peircean closure: {self._fmt(t)} consistent "
+                            f"but transform {self._fmt(u)} is not"
+                        )
+                        break
         for e in self.identity:
             for a in range(k):
                 for b in range(k):

@@ -634,24 +634,3 @@ def verify_forall_refutation(
         ],
         states=counter[0],
     )
-
-
-def representation_from_network(structure, net: Network):
-    """Re-read a network's edge labels as candidate atom images.
-
-    The node set becomes the base, E the full square, and each atom's
-    image the set of edges it labels.  A network reached by finitely
-    many game rounds is coherent, so the result passes the soundness
-    checks, but saturation generally fails: some consistent triple has
-    an edge with no witnessing third node yet.
-    """
-    from .algebra import ProperAlgebra, Representation
-
-    nodes = frozenset(range(net.n))
-    e = frozenset((x, y) for x in nodes for y in nodes)
-    images: dict = {}
-    for x in range(net.n):
-        for y in range(net.n):
-            images.setdefault(net.label(x, y), set()).add((x, y))
-    images = {a: frozenset(ps) for a, ps in images.items()}
-    return Representation(target=ProperAlgebra(base=nodes, e=e), atom_images=images)

@@ -1,25 +1,16 @@
 import random
+import time
+from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relalg.algebra import (
-    Algebra,
-    Element,
-    ProperAlgebra,
-    Representation,
-    bits,
-    check_axioms,
-    check_representation,
-)
-from relalg.atoms import AtomStructure, make_structure
-from relalg.networks import (
-    initial_response,
-    legal_moves,
-    rainbow_exists_strategy,
-    representation_from_network,
-)
+from relalg.algebra import Algebra, Element, bits, check_axioms
+from relalg.atoms import AtomStructure, peircean_transforms
 from relalg.rainbow import Rainbow, build_rainbow
+from test_atoms import six_transform_validate
+from test_logic import S3
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +98,83 @@ def test_check_axioms_flags_broken_closure():
     assert any("peircean" in p.lower() or "closure" in p.lower() for p in problems)
 
 
+def triple_loop_check_axioms(structure):
+    """check_axioms as two compose calls per atom triple, after the
+    six-transform validate."""
+    alg = Algebra(structure)
+    k = alg.n_atoms
+    names = structure.names
+    bad = six_transform_validate(structure)
+    ident = alg.identity_mask
+    for a in range(k):
+        if alg.compose(ident, 1 << a) != 1 << a:
+            bad.append(f"identity law fails: 1';{names[a]} != {names[a]}")
+            break
+        if alg.compose(1 << a, ident) != 1 << a:
+            bad.append(f"identity law fails: {names[a]};1' != {names[a]}")
+            break
+    for a in range(k):
+        for b in range(k):
+            lhs = alg.converse(alg.comp[a][b])
+            rhs = alg.compose(1 << alg.conv_atom[b], 1 << alg.conv_atom[a])
+            if lhs != rhs:
+                bad.append(
+                    f"converse of composition fails at ({names[a]}, {names[b]})"
+                )
+                break
+        else:
+            continue
+        break
+    for a in range(k):
+        for b in range(k):
+            ab = alg.comp[a][b]
+            for c in range(k):
+                if alg.compose(ab, 1 << c) != alg.compose(1 << a, alg.comp[b][c]):
+                    bad.append(
+                        "associativity fails at "
+                        f"({names[a]}, {names[b]}, {names[c]})"
+                    )
+                    return bad
+    return bad
+
+
+def orbit_mutants(base, rng, n):
+    """base, n copies of it that each remove one Peircean orbit from the
+    consistent set or add one to it, and one copy with a single triple
+    removed, which breaks the closure."""
+    k = base.n_atoms
+    consistent = sorted(base.consistent)
+    forbidden = sorted(set(product(range(k), repeat=3)) - base.consistent)
+    out = [base]
+    for i in range(n):
+        t = rng.choice(consistent if i % 2 else forbidden)
+        orbit = set(peircean_transforms(t, base.conv))
+        out.append(replace(base, consistent=base.consistent ^ orbit))
+    out.append(replace(base, consistent=base.consistent - {rng.choice(consistent)}))
+    return out
+
+
+def test_check_axioms_matches_triple_loop():
+    rng = random.Random(7)
+    bases = [build_rainbow(2, 2), build_rainbow(3, 2), build_rainbow(2, 3),
+             S3.structure]
+    cases = [st_ for base in bases for st_ in orbit_mutants(base, rng, 24)]
+    kinds = set()
+    for st_ in cases:
+        problems = check_axioms(st_)
+        assert problems == triple_loop_check_axioms(st_)
+        kinds.update({p.split()[0] for p in problems} or {"pass"})
+    assert len(cases) == 104
+    assert {"associativity", "Peircean", "pass"} <= kinds, kinds
+
+
+def test_check_axioms_fast_on_61_atoms():
+    st_ = build_rainbow(8, 7)
+    t0 = time.perf_counter()
+    assert check_axioms(st_) == []
+    assert time.perf_counter() - t0 < 2.0
+
+
 def test_element_type_guards(alg):
     other = Algebra(build_rainbow(3, 2))
     with pytest.raises(ValueError):
@@ -114,46 +182,3 @@ def test_element_type_guards(alg):
     e = Element(alg, 0b11)
     assert (e & ~e).mask == 0
     assert (e | ~e).mask == alg.one
-
-
-# --- representations ---------------------------------------------------------
-
-
-def one_atom_structure():
-    return make_structure(["1'"], ["1'"], [], [])
-
-
-def test_trivial_representation_ok():
-    s = one_atom_structure()
-    pa = ProperAlgebra(base=frozenset([0]), e=frozenset([(0, 0)]))
-    rep = Representation(target=pa, atom_images={0: frozenset([(0, 0)])})
-    assert check_representation(s, rep) == []
-
-
-def test_empty_image_flagged():
-    s = one_atom_structure()
-    pa = ProperAlgebra(base=frozenset([0]), e=frozenset())
-    rep = Representation(target=pa, atom_images={0: frozenset()})
-    assert any("empty" in p for p in check_representation(s, rep))
-
-
-def test_proper_algebra_must_be_equivalence():
-    with pytest.raises(ValueError):
-        ProperAlgebra(base=frozenset([0, 1]), e=frozenset([(0, 1)]))
-
-
-def test_network_play_sound_but_unsaturated(rb, alg):
-    """A finite play yields a coherent edge labelling: re-read as atom
-    images it passes every soundness check but is not saturated."""
-    net = initial_response(alg, rb.green(0))
-    book = {}
-    for _ in range(4):
-        move = legal_moves(net, alg)[0]
-        net, book = rainbow_exists_strategy(rb, net, book, move)
-    rep = representation_from_network(rb.structure, net)
-    problems = check_representation(rb.structure, rep)
-    assert problems, "a 6-node square cannot saturate every triple"
-    for p in problems:
-        assert "unsound" not in p and "converse breach" not in p
-        assert "overlap" not in p and "diagonal" not in p
-        assert "differs" not in p

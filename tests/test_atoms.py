@@ -1,3 +1,6 @@
+import random
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +12,7 @@ from relalg.atoms import (
     make_structure,
     peircean_transforms,
 )
+from relalg.rainbow import Rainbow, build_rainbow
 
 
 def tiny():
@@ -71,6 +75,41 @@ def test_closure_is_union_of_orbits(data):
     assert close_under_transforms(closed, conv) == closed
 
 
+def six_transform_closure(triples, conv):
+    """Apply all six transforms to every triple until nothing new appears."""
+    out, pending = set(), list(triples)
+    while pending:
+        t = pending.pop()
+        if t not in out:
+            out.add(t)
+            pending.extend(peircean_transforms(t, conv))
+    return out
+
+
+def random_involution(rng, k):
+    atoms = list(range(k))
+    rng.shuffle(atoms)
+    conv = list(range(k))
+    for i in range(0, rng.randrange(k + 1) // 2 * 2, 2):
+        a, b = atoms[i], atoms[i + 1]
+        conv[a], conv[b] = b, a
+    return tuple(conv)
+
+
+def test_closure_matches_six_transform_closure():
+    rng = random.Random(9)
+    swapped = 0
+    for _ in range(300):
+        k = rng.randint(1, 7)
+        conv = random_involution(rng, k)
+        swapped += conv != tuple(range(k))
+        triples = [tuple(rng.randrange(k) for _ in range(3))
+                   for _ in range(rng.randrange(3 * k))]
+        assert close_under_transforms(triples, conv) == six_transform_closure(
+            triples, conv)
+    assert swapped > 100
+
+
 # --- structure construction --------------------------------------------------
 
 
@@ -116,6 +155,85 @@ def test_validate_catches_transform_leak():
         consistent=base.consistent - {victim},
     )
     assert leaky.validate() != []
+
+
+def six_transform_validate(st_):
+    """AtomStructure.validate as a per-triple loop over all six
+    transforms, with no shortcut."""
+    k = len(st_.names)
+    bad = []
+    if len(st_.conv) != k:
+        return [f"converse table has {len(st_.conv)} entries for {k} atoms"]
+    for a in range(k):
+        if not 0 <= st_.conv[a] < k:
+            bad.append(f"involution: converse of {st_.names[a]} out of range")
+        elif st_.conv[st_.conv[a]] != a:
+            bad.append(
+                f"involution: conv(conv({st_.names[a]})) = "
+                f"{st_.names[st_.conv[st_.conv[a]]]}"
+            )
+    for e in st_.identity:
+        if st_.conv[e] not in st_.identity:
+            bad.append(f"identity not closed under converse at {st_.names[e]}")
+    for t in st_.consistent:
+        for u in peircean_transforms(t, st_.conv):
+            if u not in st_.consistent:
+                bad.append(
+                    f"Peircean closure: {st_._fmt(t)} consistent "
+                    f"but transform {st_._fmt(u)} is not"
+                )
+                break
+    for e in st_.identity:
+        for a in range(k):
+            for b in range(k):
+                if ((e, a, b) in st_.consistent) != (a == b):
+                    bad.append(
+                        f"identity coherence: {st_._fmt((e, a, b))} "
+                        f"{'consistent' if a != b else 'inconsistent'}"
+                    )
+    return bad
+
+
+def generator_closed_leak():
+    """conv is not an involution, and the consistent set is closed under
+    (a,b,c) -> (a~,c,b) and (a,b,c) -> (b~,a~,c~) but not under all six
+    transforms: (a, 1', 1') is consistent and its transform
+    (c, b~, a) = (1', 1', a) is not."""
+    return AtomStructure(
+        names=("1'", "a", "b"),
+        identity=frozenset([0]),
+        conv=(0, 2, 2),
+        consistent=frozenset([(0, 0, 2), (0, 2, 0), (1, 0, 0), (2, 0, 0)]),
+    )
+
+
+def unclosed_structures():
+    """The victim of test_check_axioms_flags_broken_closure, seeded
+    single-triple edits of four structures, and structures whose conv is
+    not an involution."""
+    b22 = build_rainbow(2, 2)
+    rb = Rainbow(2, 2, b22)
+    victim = (rb.green(0), rb.green(1), 1)  # (g0, g1, b), transforms kept
+    out = [replace(b22, consistent=b22.consistent - {victim})]
+    rng = random.Random(4)
+    for base in (tiny(), asym(), b22, build_rainbow(3, 2)):
+        k = base.n_atoms
+        for _ in range(6):
+            t = tuple(rng.randrange(k) for _ in range(3))
+            out.append(replace(base, consistent=base.consistent ^ {t}))
+    out.append(replace(asym(), conv=(0, 2, 2)))
+    out.append(replace(b22, conv=(1,) + b22.conv[1:]))
+    out.append(generator_closed_leak())
+    return out
+
+
+def test_validate_matches_six_transform_loop():
+    cases = unclosed_structures()
+    for st_ in cases:
+        assert st_.validate() == six_transform_validate(st_)
+    leaks = [st_ for st_ in cases
+             if any(p.startswith("Peircean") for p in st_.validate())]
+    assert len(leaks) >= 20 and cases[0] in leaks and cases[-1] in leaks
 
 
 def test_unknown_atom_errors():

@@ -34,6 +34,13 @@ def test_axioms_ok(ras22, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def test_axioms_ok_on_61_atoms(tmp_path, capsys):
+    path = tmp_path / "b87.ras"
+    rasfile.dump(build_rainbow(8, 7), path)
+    assert main(["axioms", str(path)]) == OK
+    assert capsys.readouterr().out.startswith("ok: ")
+
+
 def test_axioms_missing_file(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["axioms", "/nonexistent.ras"])

@@ -16,7 +16,6 @@ from relalg.networks import (
     rainbow_exists_strategy,
     rainbow_refuter_moves,
     red_clique,
-    representation_from_network,
 )
 from relalg.rainbow import YELLOW
 
@@ -206,16 +205,3 @@ def test_verify_forall_refutation_two_rounds_play_one_move():
     assert res.status == "counterexample"
     rounds = [line.split(" |")[0] for line in res.transcript]
     assert rounds == ["round 0", "round 1"]
-
-
-def test_representation_from_network_sound_not_saturated():
-    from relalg import check_representation
-
-    net, _ = attack(RB22, rainbow_refuter_moves(RB22))
-    rep = representation_from_network(RB22.structure, net)
-    problems = check_representation(RB22.structure, rep)
-    # only completeness defects: unused atoms and missing witnesses
-    assert all("unsaturated" in p or "image empty" in p for p in problems)
-    assert any("unsaturated" in p for p in problems), (
-        "a 4-node network cannot witness every consistent triple"
-    )
