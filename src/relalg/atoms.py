@@ -69,7 +69,8 @@ class AtomStructure:
     identity: frozenset[int]
     conv: tuple[int, ...]
     consistent: frozenset[Triple]
-    _index: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
+    _index: dict = field(init=False, default_factory=dict, repr=False, compare=False,
+                         hash=False)
 
     def __post_init__(self):
         if len(self.names) > MAX_ATOMS:

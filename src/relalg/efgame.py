@@ -16,8 +16,7 @@ atom with an int over those pairs.  A direct pairwise closure
 (:func:`pair_closure`) is kept as an independently-checkable oracle for
 small instances.
 
-:func:`verify_ef_strategy` returns a :class:`~relalg.verdict.Verdict`;
-the exact solver :func:`brute_force_winner` returns the winner's name.
+:func:`verify_ef_strategy` returns a :class:`~relalg.verdict.Verdict`.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Optional
 from .algebra import Algebra
 from .rainbow import Rainbow
 from .seurat import SeuratSession
-from .verdict import BudgetExhausted, Verdict, check_counts
+from .verdict import Verdict, check_counts
 
 EXHAUSTIVE_MAX_ROUNDS = 1
 EXHAUSTIVE_MAX_SIZE = 1 << 13
@@ -206,70 +205,6 @@ def position_winner(pos: EFPosition) -> PositionVerdict:
                 winner="exists", cells=[(ma, mb) for ma, mb in cells]
             )
         sig_a, sig_b = new_a, new_b
-
-
-# ---------------------------------------------------------------------------
-# exact solving for tiny instances
-
-
-def brute_force_winner(
-    pos: EFPosition, n: int, max_states: int = 2_000_000
-) -> str:
-    """Exact game value ("exists", "forall", or "inconclusive").
-
-    Memoized on the unordered set of played pairs, since the winner
-    does not depend on the order of the rounds.  Intended for algebras
-    of a handful of atoms only.
-    """
-    check_counts(n=n, max_states=max_states)
-    alg_a, alg_b = pos.alg_a, pos.alg_b
-    memo: dict = {}
-    states = 0
-
-    def exists_survives(pairs: frozenset, rounds: int) -> bool:
-        nonlocal states
-        key = (pairs, rounds)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        states += 1
-        if states > max_states:
-            raise BudgetExhausted
-        if not position_winner(EFPosition(alg_a, alg_b, tuple(pairs))).exists_ok:
-            memo[key] = False
-            return False
-        if rounds == 0:
-            memo[key] = True
-            return True
-        played_a = {a for a, _ in pairs}
-        played_b = {b for _, b in pairs}
-        res = True
-        for a in range(alg_a.size):
-            if a in played_a:
-                continue
-            if not any(
-                exists_survives(pairs | {(a, b)}, rounds - 1)
-                for b in range(alg_b.size)
-            ):
-                res = False
-                break
-        if res:
-            for b in range(alg_b.size):
-                if b in played_b:
-                    continue
-                if not any(
-                    exists_survives(pairs | {(a, b)}, rounds - 1)
-                    for a in range(alg_a.size)
-                ):
-                    res = False
-                    break
-        memo[key] = res
-        return res
-
-    try:
-        return "exists" if exists_survives(frozenset(pos.pairs), n) else "forall"
-    except BudgetExhausted:
-        return "inconclusive"
 
 
 # ---------------------------------------------------------------------------

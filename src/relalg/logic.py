@@ -58,17 +58,22 @@ from .verdict import BudgetExhausted
 # --- terms -----------------------------------------------------------------
 
 
+def _parts(node) -> list:
+    """A term's or formula's sub-terms and sub-formulas."""
+    return [p for p in vars(node).values() if isinstance(p, (Term, Formula))]
+
+
 class Term:
-    free_vars: frozenset
+    @property
+    def free_vars(self) -> frozenset:
+        if isinstance(self, Var):
+            return frozenset([self.name])
+        return frozenset().union(*(p.free_vars for p in _parts(self)))
 
 
 @dataclass(frozen=True)
 class Var(Term):
     name: str
-
-    @property
-    def free_vars(self):
-        return frozenset([self.name])
 
 
 @dataclass(frozen=True)
@@ -79,27 +84,15 @@ class Const(Term):
         if self.symbol not in ("0", "1", "1'"):
             raise ValueError(f"unknown constant {self.symbol!r}")
 
-    @property
-    def free_vars(self):
-        return frozenset()
-
 
 @dataclass(frozen=True)
 class Neg(Term):
     arg: Term
 
-    @property
-    def free_vars(self):
-        return self.arg.free_vars
-
 
 @dataclass(frozen=True)
 class Conv(Term):
     arg: Term
-
-    @property
-    def free_vars(self):
-        return self.arg.free_vars
 
 
 @dataclass(frozen=True)
@@ -107,19 +100,11 @@ class Join(Term):
     left: Term
     right: Term
 
-    @property
-    def free_vars(self):
-        return self.left.free_vars | self.right.free_vars
-
 
 @dataclass(frozen=True)
 class Comp(Term):
     left: Term
     right: Term
-
-    @property
-    def free_vars(self):
-        return self.left.free_vars | self.right.free_vars
 
 
 def meet(u: Term, v: Term) -> Term:
@@ -130,7 +115,15 @@ def meet(u: Term, v: Term) -> Term:
 
 
 class Formula:
-    pass
+    @property
+    def free_vars(self) -> frozenset:
+        free = frozenset().union(*(p.free_vars for p in _parts(self)))
+        return free - {self.var} if isinstance(self, (Exists, Forall)) else free
+
+    @property
+    def qdepth(self) -> int:
+        inner = [p.qdepth for p in _parts(self) if isinstance(p, Formula)]
+        return max(inner, default=0) + isinstance(self, (Exists, Forall))
 
 
 @dataclass(frozen=True)
@@ -138,26 +131,10 @@ class Eq(Formula):
     left: Term
     right: Term
 
-    @property
-    def free_vars(self):
-        return self.left.free_vars | self.right.free_vars
-
-    @property
-    def qdepth(self):
-        return 0
-
 
 @dataclass(frozen=True)
 class Not(Formula):
     arg: Formula
-
-    @property
-    def free_vars(self):
-        return self.arg.free_vars
-
-    @property
-    def qdepth(self):
-        return self.arg.qdepth
 
 
 @dataclass(frozen=True)
@@ -165,27 +142,11 @@ class And(Formula):
     left: Formula
     right: Formula
 
-    @property
-    def free_vars(self):
-        return self.left.free_vars | self.right.free_vars
-
-    @property
-    def qdepth(self):
-        return max(self.left.qdepth, self.right.qdepth)
-
 
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
-
-    @property
-    def free_vars(self):
-        return self.left.free_vars | self.right.free_vars
-
-    @property
-    def qdepth(self):
-        return max(self.left.qdepth, self.right.qdepth)
 
 
 @dataclass(frozen=True)
@@ -193,27 +154,11 @@ class Exists(Formula):
     var: str
     body: Formula
 
-    @property
-    def free_vars(self):
-        return self.body.free_vars - {self.var}
-
-    @property
-    def qdepth(self):
-        return self.body.qdepth + 1
-
 
 @dataclass(frozen=True)
 class Forall(Formula):
     var: str
     body: Formula
-
-    @property
-    def free_vars(self):
-        return self.body.free_vars - {self.var}
-
-    @property
-    def qdepth(self):
-        return self.body.qdepth + 1
 
 
 def leq(u: Term, v: Term) -> Formula:

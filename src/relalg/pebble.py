@@ -17,11 +17,10 @@ runs out of greens.  :func:`verify_pebble_strategy` returns a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .atoms import AtomStructure
 from .rainbow import Rainbow
-from .verdict import BudgetExhausted, Verdict, check_counts
+from .verdict import Verdict, check_counts
 
 DEFAULT_MAX_STATES = 5_000_000
 
@@ -147,66 +146,67 @@ def verify_pebble_strategy(
     rounds: int,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> Verdict:
-    """Exhaustively play every first-player line to the given depth.
+    """Play every first-player line of at most ``rounds`` placements.
 
-    Positions are memoized on the multiset of pebbled pairs (pebble
-    identity does not affect the winner) and the remaining depth.  The
-    verdict "verified" certifies survival to exactly this depth; more
-    than ``max_states`` positions give "inconclusive".
+    Breadth first over position classes, a class being the sorted tuple
+    of pebbled pairs: layer r holds one position for each class first
+    reached after r placements, and each class is expanded once.  This
+    is exact for a positional strategy that ignores pebble identity, as
+    the green-matching one does: the positions of a class have the same
+    replies and children up to renaming pebbles.  A first reach is a
+    class's fewest placements, so the classes expanded are exactly those
+    reachable in fewer than ``rounds``.  Last-layer children are checked
+    but not kept; an empty layer (closure) ends the search.  A loss gives
+    a shortest losing line, rebuilt from each class's parent and move;
+    more than ``max_states`` positions expanded give "inconclusive".
     """
     check_counts(pebbles=pebbles, rounds=rounds, max_states=max_states)
-    states = 0
-    seen: set = set()
+    came: dict = {(): None}  # class -> (parent class, side, pebble, atom, reply)
 
-    def dfs(pos: PebblePosition, depth: int) -> Optional[list]:
-        nonlocal states
-        if depth == rounds:
-            return None
-        key = (tuple(sorted(pos.values())), depth)
-        if key in seen:
-            return None
-        seen.add(key)
-        states += 1
-        if states > max_states:
-            raise BudgetExhausted
-        for side, struct in (("L", left), ("R", right)):
-            mine = 0 if side == "L" else 1
-            for pebble in range(pebbles):
-                for atom in range(struct.size):
-                    old = pos.get(pebble)
-                    if old is not None and old[mine] == atom:
-                        continue  # no-op re-placement
-                    try:
-                        reply = strategy.respond(pos, side, pebble, atom)
-                    except PebbleStrategyFailure as exc:
-                        return [
-                            _move_line(depth, side, pebble, left, right,
-                                       atom, None, f"strategy failed: {exc}")
-                        ]
-                    pair = (atom, reply) if side == "L" else (reply, atom)
-                    pos[pebble] = pair
-                    ok, reason = partial_iso(left, right, pos)
-                    bad = dfs(pos, depth + 1) if ok else []
-                    if old is None:
-                        del pos[pebble]
-                    else:
-                        pos[pebble] = old
-                    if bad is not None:
-                        bad.insert(0, _move_line(
-                            depth, side, pebble, left, right, atom,
-                            pair[1 - mine], "ok" if ok else f"breach: {reason}"))
-                        return bad
-        return None
+    def line_to(key, *last) -> list:
+        """The line to class ``key``, then the move ``last`` if given."""
+        moves = [last] if last else []
+        while came[key] is not None:
+            key, *move = came[key]
+            moves.append((*move, "ok"))
+        return [_move_line(i, side, pebble, left, right, atom, reply, status)
+                for i, (side, pebble, atom, reply, status)
+                in enumerate(reversed(moves))]
 
-    try:
-        losing = dfs({}, 0)
-    except BudgetExhausted:
-        return Verdict(status="inconclusive", states=states, reason="state budget")
-    if losing is None:
-        return Verdict(status="verified", states=states)
-    return Verdict(
-        status="counterexample",
-        transcript=losing,
-        states=states,
-        reason="first player forces a non-isomorphic position",
-    )
+    states, depth, layer = 0, 0, [((), {})]
+    while layer and depth < rounds:  # an empty layer: the classes are closed
+        grown = []
+        for key, pos in layer:
+            states += 1
+            if states > max_states:
+                return Verdict("inconclusive", line_to(key), "state budget",
+                               states=states)
+            for side, struct in (("L", left), ("R", right)):
+                mine = 0 if side == "L" else 1
+                for pebble in range(pebbles):
+                    old, child = pos.get(pebble), dict(pos)
+                    for atom in range(struct.size):
+                        if old is not None and old[mine] == atom:
+                            continue  # no-op re-placement
+                        try:
+                            reply = strategy.respond(pos, side, pebble, atom)
+                        except PebbleStrategyFailure as exc:
+                            reply, status = None, f"strategy failed: {exc}"
+                        else:
+                            pair = (atom, reply) if side == "L" else (reply, atom)
+                            child[pebble] = pair
+                            ok, reason = partial_iso(left, right, child)
+                            status = "ok" if ok else f"breach: {reason}"
+                        if status != "ok":
+                            return Verdict(
+                                "counterexample",
+                                line_to(key, side, pebble, atom, reply, status),
+                                "first player forces a non-isomorphic position",
+                                states=states)
+                        if depth < rounds - 1:
+                            child_key = tuple(sorted(child.values()))
+                            if child_key not in came:
+                                came[child_key] = (key, side, pebble, atom, reply)
+                                grown.append((child_key, dict(child)))
+        layer, depth = grown, depth + 1
+    return Verdict("verified", states=states)

@@ -12,7 +12,9 @@ and raises on any violation.
 
 from __future__ import annotations
 
-from .atoms import MAX_ATOMS, AtomStructure, make_structure
+from itertools import product
+
+from .atoms import MAX_ATOMS, AtomStructure, make_structure, peircean_transforms
 
 SECTIONS = ("atoms", "identity", "converse", "forbidden")
 
@@ -74,8 +76,9 @@ def loads(text: str) -> AtomStructure:
 def dumps(st: AtomStructure) -> str:
     """Serialize a structure; loads(dumps(st)) == st.
 
-    The forbidden section is written in full (not reduced to
-    generators); closure under transforms makes the round trip exact.
+    The forbidden section holds one triple per Peircean orbit, the first
+    in (a, b, c) order; the loader's closure under the transforms gives
+    back every other member, so the round trip is exact.
     """
     lines = ["[atoms]", " ".join(st.names), "", "[identity]"]
     lines.extend(st.names[a] for a in sorted(st.identity))
@@ -85,13 +88,11 @@ def dumps(st: AtomStructure) -> str:
         lines.append(f"{st.names[a]} {st.names[b]}")
     lines.append("")
     lines.append("[forbidden]")
-    k = st.n_atoms
-    consistent = st.consistent
-    for a in range(k):
-        for b in range(k):
-            for c in range(k):
-                if (a, b, c) not in consistent:
-                    lines.append(f"{st.names[a]} {st.names[b]} {st.names[c]}")
+    covered: set = set()
+    for t in product(range(st.n_atoms), repeat=3):
+        if t not in st.consistent and t not in covered:
+            covered.update(peircean_transforms(t, st.conv))
+            lines.append(" ".join(st.names[a] for a in t))
     return "\n".join(lines) + "\n"
 
 

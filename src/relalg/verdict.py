@@ -22,12 +22,15 @@ class Verdict:
 
     ``transcript`` is the one reported line of play, a text line per
     move: the line lost, or the line a budget ran out on (a verified
-    refutation holds one summary line).  It is formatted only as the
-    search unwinds, each frame putting its own move's line in front, so
-    no move of a won line is ever formatted.
+    refutation holds one summary line).  Only that line is formatted,
+    as a depth-first search unwinds or, in the breadth-first pebble
+    search, from each position's parent link, so no move of a won line
+    is ever formatted.
 
     ``states`` counts the positions a search expanded and ``plays`` the
-    plays run; each engine fills in the count it keeps.
+    plays run; each engine fills in the count it keeps.  A spent state
+    budget reports ``states`` as the budget plus one, the expansion that
+    was refused.
     """
 
     status: str
@@ -42,7 +45,9 @@ class Verdict:
 
 
 class BudgetExhausted(Exception):
-    """Raised inside a search when it has expanded more states than allowed."""
+    """Raised by the formula evaluator for an algebra with more elements
+    than its element budget; the game searches return an "inconclusive"
+    ``Verdict`` instead."""
 
 
 def check_counts(least: int = 0, **counts: int) -> None:

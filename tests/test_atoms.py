@@ -246,6 +246,15 @@ def test_unknown_atom_errors():
         st_.is_consistent((0, 0, 99))
 
 
+def test_renamed_copy_has_its_own_index():
+    a = tiny()
+    b = replace(a, names=("1'", "e"))
+    assert b.atom("e") == 1
+    with pytest.raises(UnknownAtomError):
+        a.atom("e")
+    assert a.atom("d") == 1
+
+
 def test_atom_cap_enforced():
     names = [f"a{i}" for i in range(MAX_ATOMS + 1)]
     with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from relalg.efgame import (
     EFPosition,
     MirrorStrategy,
     Prop44Strategy,
-    brute_force_winner,
     pair_closure,
     position_winner,
     verify_ef_strategy,
@@ -208,28 +207,6 @@ def test_compose_all_matches_compose():
     assert ALG22.compose_all([]) == []
     x = 1 << RB22.green(0)
     assert ALG22.compose_all([x]) == [[ALG22.compose(x, x)]]
-
-
-# ---------------------------------------------------------------------------
-# exact game values on small instances
-
-
-def test_brute_force_identical_algebras_always_exists():
-    from relalg.atoms import make_structure
-
-    st = make_structure(["1'", "d"], ["1'"], [], [("1'", "1'", "d")])
-    pos = EFPosition(Algebra(st), Algebra(st))
-    assert brute_force_winner(pos, 2) == "exists"
-
-
-def test_brute_force_zero_rounds_matches_position_winner():
-    pos = EFPosition(ALG22, ALG32)
-    assert brute_force_winner(pos, 0) == position_winner(pos).winner
-
-
-def test_brute_force_budget_exhaustion():
-    pos = EFPosition(ALG22, ALG32)
-    assert brute_force_winner(pos, 1, max_states=2) == "inconclusive"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Pebble game on atom structures: partial isomorphisms and strategies."""
 
+from typing import Optional
+
 import pytest
 
 from relalg import Rainbow
@@ -8,9 +10,11 @@ from relalg.pebble import (
     Cor33Strategy,
     MirrorPebbleStrategy,
     PebbleStrategyFailure,
+    _move_line,
     partial_iso,
     verify_pebble_strategy,
 )
+from relalg.verdict import Verdict
 
 RB22 = Rainbow.make(2, 2)
 RB32 = Rainbow.make(3, 2)
@@ -158,3 +162,124 @@ def test_state_budget_gives_inconclusive():
     assert res.status == "inconclusive"
     assert res.reason == "state budget"
     assert not res.verified
+
+
+def test_two_pebbles_reach_their_closure_within_five_rounds():
+    # 109 position classes are all that 2 pebbles can reach; past the
+    # closure more rounds expand nothing new
+    for rounds in (5, 50):
+        res = verify_pebble_strategy(
+            L22, L32, Cor33Strategy(RB22, RB32), pebbles=2, rounds=rounds
+        )
+        assert (res.status, res.states) == ("verified", 109)
+
+
+def test_budget_stops_at_the_position_it_would_expand():
+    strat = Cor33Strategy(RB22, RB32)
+    full = verify_pebble_strategy(L22, L32, strat, pebbles=2, rounds=5)
+    res = verify_pebble_strategy(
+        L22, L32, strat, pebbles=2, rounds=5, max_states=full.states - 1
+    )
+    assert (res.status, res.states) == ("inconclusive", full.states)
+    assert res.transcript and all(line.endswith("| ok") for line in res.transcript)
+    same = verify_pebble_strategy(
+        L22, L32, strat, pebbles=2, rounds=5, max_states=full.states
+    )
+    assert (same.status, same.states) == ("verified", full.states)
+
+
+# ---------------------------------------------------------------------------
+# the breadth-first search against the depth-first one it replaced
+
+
+def _dfs_reference(left, right, strategy, pebbles, rounds, max_states):
+    """Depth-first search memoized on (pebbled pairs, depth), which
+    expands a position again at every depth where it is reached."""
+    states = 0
+    seen: set = set()
+
+    class Spent(Exception):
+        pass
+
+    def dfs(pos, depth) -> Optional[list]:
+        nonlocal states
+        if depth == rounds:
+            return None
+        key = (tuple(sorted(pos.values())), depth)
+        if key in seen:
+            return None
+        seen.add(key)
+        states += 1
+        if states > max_states:
+            raise Spent
+        for side, struct in (("L", left), ("R", right)):
+            mine = 0 if side == "L" else 1
+            for pebble in range(pebbles):
+                for atom in range(struct.size):
+                    old = pos.get(pebble)
+                    if old is not None and old[mine] == atom:
+                        continue
+                    try:
+                        reply = strategy.respond(pos, side, pebble, atom)
+                    except PebbleStrategyFailure as exc:
+                        return [_move_line(depth, side, pebble, left, right,
+                                           atom, None, f"strategy failed: {exc}")]
+                    pair = (atom, reply) if side == "L" else (reply, atom)
+                    pos[pebble] = pair
+                    ok, reason = partial_iso(left, right, pos)
+                    bad = dfs(pos, depth + 1) if ok else []
+                    if old is None:
+                        del pos[pebble]
+                    else:
+                        pos[pebble] = old
+                    if bad is not None:
+                        bad.insert(0, _move_line(
+                            depth, side, pebble, left, right, atom,
+                            pair[1 - mine], "ok" if ok else f"breach: {reason}"))
+                        return bad
+        return None
+
+    try:
+        losing = dfs({}, 0)
+    except Spent:
+        return Verdict("inconclusive", reason="state budget", states=states)
+    if losing is None:
+        return Verdict("verified", states=states)
+    return Verdict("counterexample", losing,
+                   "first player forces a non-isomorphic position", states=states)
+
+
+# (s_left, s_right, t, most pebbles + rounds): the bound keeps the sweep
+# near a second per engine
+SWEEP_PAIRS = [(2, 3, 2, 7), (3, 2, 2, 7), (2, 2, 2, 6), (1, 2, 2, 7),
+               (2, 3, 3, 5), (3, 2, 3, 5)]
+SWEEP = [
+    (pair, pebbles, rounds, budget)
+    for pair in SWEEP_PAIRS
+    for pebbles in range(5)
+    for rounds in range(min(5, pair[3] - pebbles) + 1)
+    for budget in (10**6, 3)
+]
+
+
+def test_breadth_first_search_matches_the_depth_first_reference():
+    rels = {}
+    for (s_l, s_r, t, _), pebbles, rounds, budget in SWEEP:
+        for s in (s_l, s_r):
+            if (s, t) not in rels:
+                rb = Rainbow.make(s, t)
+                rels[s, t] = rb, AtomRelStructure.from_atom_structure(rb.structure)
+        (rb_l, left), (rb_r, right) = rels[s_l, t], rels[s_r, t]
+        case = (s_l, s_r, t, pebbles, rounds, budget)
+        got = verify_pebble_strategy(left, right, Cor33Strategy(rb_l, rb_r),
+                                     pebbles, rounds, max_states=budget)
+        ref = _dfs_reference(left, right, Cor33Strategy(rb_l, rb_r),
+                             pebbles, rounds, budget)
+        assert (got.status, got.reason) == (ref.status, ref.reason), case
+        if got.status == "verified":
+            assert got.states <= ref.states, case
+        if got.status == "counterexample":
+            *kept, last = got.transcript
+            assert len(got.transcript) <= len(ref.transcript), case
+            assert all(line.endswith("| ok") for line in kept), case
+            assert "| breach: " in last or "| strategy failed: " in last, case

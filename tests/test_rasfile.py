@@ -1,11 +1,13 @@
 """Text serialization of atom structures."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from relalg import build_rainbow
-from relalg.atoms import make_structure
+from relalg.atoms import make_structure, peircean_transforms
 from relalg.rasfile import RasFormatError, dump, dumps, load, loads
 
 
@@ -81,11 +83,22 @@ def test_invalid_structure_rejected():
 
 
 def test_dumps_lists_full_forbidden_set():
-    st = build_rainbow(2, 2)
-    text = dumps(st)
-    forbidden_lines = text.split("[forbidden]")[1].strip().splitlines()
-    n = st.n_atoms
-    assert len(forbidden_lines) == n**3 - len(st.consistent)
+    """The section stands for every forbidden triple, one line per orbit:
+    the orbits of the lines written are exactly the forbidden triples,
+    each line is the first of its orbit in (a, b, c) order, and the
+    structure reads back equal."""
+    for s, t in [(2, 2), (3, 2)]:
+        st = build_rainbow(s, t)
+        text = dumps(st)
+        index = {name: i for i, name in enumerate(st.names)}
+        written = [tuple(index[nm] for nm in line.split())
+                   for line in text.split("[forbidden]")[1].strip().splitlines()]
+        orbits = [set(peircean_transforms(u, st.conv)) for u in written]
+        forbidden = set(product(range(st.n_atoms), repeat=3)) - st.consistent
+        assert set().union(*orbits) == forbidden
+        assert len(written) == len({frozenset(o) for o in orbits})
+        assert all(u == min(o) for u, o in zip(written, orbits))
+        assert loads(text) == st
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,7 +1,7 @@
 """Every Verdict field of the four game searches, pinned to recorded literals.
 
-A search formats the reported line only as its losing (or budget) result
-unwinds; a test checks that won lines are never formatted.  The last test
+A search formats only the reported line, the one lost or the one a budget
+ran out on; a test checks that won lines are never formatted.  The last test
 checks that every library entry point refuses a bad count before any
 search.
 """
@@ -15,12 +15,12 @@ from relalg.pebble import AtomRelStructure, Cor33Strategy, verify_pebble_strateg
 from relalg.seurat import SeuratStrategyFailure, lemma43_strategy, verify_seurat_strategy
 
 
-def _pebble(s_left, s_right, t, pebbles, rounds):
+def _pebble(s_left, s_right, t, pebbles, rounds, **kw):
     rb_l, rb_r = Rainbow.make(s_left, t), Rainbow.make(s_right, t)
     left = AtomRelStructure.from_atom_structure(rb_l.structure)
     right = AtomRelStructure.from_atom_structure(rb_r.structure)
     return verify_pebble_strategy(left, right, Cor33Strategy(rb_l, rb_r),
-                                  pebbles, rounds)
+                                  pebbles, rounds, **kw)
 
 
 def _ef(s_a, s_b, t, n, **kw):
@@ -113,11 +113,18 @@ CASES = {
     ),
     "pebble B(2,2)/B(3,2) 3 pebbles 3 rounds": (
         lambda: _pebble(2, 3, 2, 3, 3),
-        ("counterexample", "first player forces a non-isomorphic position", 62, 0, [
+        ("counterexample", "first player forces a non-isomorphic position", 57, 0, [
             "round 0 | forall: struct=L pebble=0 atom=g0 | exists: atom=g0 | ok",
             "round 1 | forall: struct=L pebble=1 atom=g1 | exists: atom=g1 | ok",
             "round 2 | forall: struct=R pebble=2 atom=g2 | exists: atom=- "
             "| strategy failed: no free green atom",
+        ]),
+    ),
+    "pebble B(2,2)/B(3,2) 2 pebbles 5 rounds budget 30": (
+        lambda: _pebble(2, 3, 2, 2, 5, max_states=30),
+        ("inconclusive", "state budget", 31, 0, [
+            "round 0 | forall: struct=L pebble=0 atom=b | exists: atom=b | ok",
+            "round 1 | forall: struct=L pebble=1 atom=r0_0 | exists: atom=r0_0 | ok",
         ]),
     ),
     "equivalence B(2,2)/B(3,2) n=1": (
@@ -176,8 +183,6 @@ BAD_COUNTS = {
     "efgame n": ("n", lambda: _ef(2, 3, 2, -1)),
     "efgame samples": ("samples",
                        lambda: _ef(4, 5, 1, 1, mode="sampled", samples=0, seed=1)),
-    "efgame solver n": ("n", lambda: efgame.brute_force_winner(
-        efgame.EFPosition(Algebra(B22.structure), Algebra(B22.structure)), -1)),
 }
 
 
