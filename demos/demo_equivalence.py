@@ -1,8 +1,11 @@
 """Telling rainbow algebras apart — or failing to.
 
-B(4,2) and B(5,2) differ in predicted representability, yet the
+B(4,4) is predicted representable and B(5,4) is not; the two differ
+only in their green count, 4 against 5.  B(4,2) and B(5,2), both
+predicted not representable, differ the same way, and the
 colouring-game simulation strategy survives every one-round
-distinguishing attempt; so does no sentence of low quantifier depth.
+distinguishing attempt between them; so does no sentence of low
+quantifier depth.
 Counting atoms with deeply nested bounded quantifiers does separate
 B(2,2) from B(3,2).
 """

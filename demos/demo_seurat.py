@@ -23,6 +23,10 @@ print("\nexhaustive check of the balancing strategy, G_1 on 4 vs 4:")
 res = verify_seurat_strategy(4, 4, 1, mode="exhaustive")
 print(f"  {res.status} after {res.plays} plays")
 
+print("\nexhaustive check, G_3 on 16 vs 16:")
+res = verify_seurat_strategy(16, 16, 3, mode="exhaustive")
+print(f"  {res.status} after {res.plays} plays, decided cell by cell")
+
 print("\nsampled check, G_3 on 16 vs 16 (2000 random plays):")
 res = verify_seurat_strategy(16, 16, 3, mode="sampled", samples=2000, seed=0)
 print(f"  {res.status} after {res.plays} plays")

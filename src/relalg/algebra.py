@@ -56,20 +56,8 @@ class Algebra:
         return 1 << self.n_atoms
 
     # boolean operations -------------------------------------------------
-    def zero_elem(self) -> int:
-        return 0
-
-    def one_elem(self) -> int:
-        return self.one
-
     def complement(self, x: int) -> int:
         return self.one ^ x
-
-    def join(self, x: int, y: int) -> int:
-        return x | y
-
-    def meet(self, x: int, y: int) -> int:
-        return x & y
 
     # relational operations ----------------------------------------------
     def converse(self, x: int) -> int:

@@ -211,16 +211,6 @@ def position_winner(pos: EFPosition) -> PositionVerdict:
 # strategies
 
 
-class MirrorStrategy:
-    """Answer every move with the identical element; needs A = B."""
-
-    def start(self, n: int):
-        return None
-
-    def respond(self, ctx, side: str, elem: int) -> int:
-        return elem
-
-
 class Prop44Strategy:
     """Second-player strategy for a pair of structures sharing their
     non-green atoms, driven by one colouring session per play.

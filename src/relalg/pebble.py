@@ -91,13 +91,6 @@ class PebbleStrategyFailure(Exception):
     pass
 
 
-class MirrorPebbleStrategy:
-    """Answer with the identical atom; for a structure against itself."""
-
-    def respond(self, pos: PebblePosition, side: str, pebble: int, atom: int) -> int:
-        return atom
-
-
 class Cor33Strategy:
     """Green-matching second-player strategy for two structures sharing
     their red index set (non-green atoms identified by name)."""

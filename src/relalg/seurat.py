@@ -15,12 +15,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Optional
 
 from .verdict import Verdict, check_counts
-
-Cell = tuple[frozenset, frozenset]
 
 
 @dataclass(frozen=True)
@@ -52,10 +49,16 @@ def apply_round(pos: SeuratPosition, t_r, t2_r) -> SeuratPosition:
     return SeuratPosition(n=pos.n, r=pos.r + 1, cells=cells)
 
 
+def _lost(p: int, q: int, bound: int) -> bool:
+    """A cell of sizes (p, q) breaks a rule: the sizes differ and one is
+    below ``bound``, 2 for the loss rule and 2^(n+1-r) for the invariant."""
+    return p != q and min(p, q) < bound
+
+
 def forall_wins(pos: SeuratPosition) -> Optional[int]:
     """The witness palette if the position is a first-player win, else None."""
     for palette, (a, b) in pos.cells.items():
-        if len(a) != len(b) and (len(a) < 2 or len(b) < 2):
+        if _lost(len(a), len(b), 2):
             return palette
     return None
 
@@ -67,10 +70,7 @@ def dagger_holds(pos: SeuratPosition) -> bool:
     2^(n+1-r) must have cells of equal size on both sides.
     """
     bound = 1 << (pos.n + 1 - pos.r)
-    for a, b in pos.cells.values():
-        if (len(a) < bound or len(b) < bound) and len(a) != len(b):
-            return False
-    return True
+    return not any(_lost(len(a), len(b), bound) for a, b in pos.cells.values())
 
 
 class SeuratStrategyFailure(Exception):
@@ -141,40 +141,47 @@ class SeuratSession:
 # exact solving
 
 
-def brute_force_winner(t_size: int, t2_size: int, n: int) -> str:
-    """Exact game value ("exists" or "forall") for small instances.
+def _cell_survival(n: int, replies, bound):
+    """``survives(p, q, r)``: one cell of sizes (p, q), after r of n
+    rounds, lasts to round n.  It is dead at round r if it breaks the
+    rule with bound ``bound(r)``; else for each side and each count i the
+    first player picks in the mover's part, some count j in
+    ``replies(p, q, r, i, side)`` must keep both child cells alive.
 
-    States are reduced to the multiset of per-palette cell size pairs;
-    every rule only reads cell sizes, so this collapse is exact.  The
-    first player's subset choices reduce to one intersection count per
-    cell, and likewise for the responses.
+    Exactness: a round splits each cell by a count picked per cell, each
+    cell's reply count is chosen on its own, and loss is per cell.  So
+    "for all sides and picks, some reply keeps every cell alive" commutes
+    with the AND over cells: a position survives iff each of its cells
+    does.  The memo lives for one call.
     """
-    check_counts(t_size=t_size, t2_size=t2_size, n=n)
 
     @lru_cache(maxsize=None)
-    def survives(cells: tuple, rounds_left: int) -> bool:
-        for p, q in cells:
-            if p != q and (p < 2 or q < 2):
-                return False
-        if rounds_left == 0:
+    def survives(p: int, q: int, r: int) -> bool:
+        if _lost(p, q, bound(r)):
+            return False
+        if r == n:
             return True
-        for side in (0, 1):
-            mover = [c[side] for c in cells]
-            other = [c[1 - side] for c in cells]
-            for picks in product(*(range(sz + 1) for sz in mover)):
-                for resp in product(*(range(sz + 1) for sz in other)):
-                    nxt = []
-                    for (p, q), i, j in zip(cells, picks, resp):
-                        pi, qi = (i, j) if side == 0 else (j, i)
-                        nxt.append((pi, qi))
-                        nxt.append((p - pi, q - qi))
-                    if survives(tuple(sorted(nxt)), rounds_left - 1):
+        for side in ("T", "T2"):
+            for i in range((p if side == "T" else q) + 1):
+                for j in replies(p, q, r, i, side):
+                    a, b = (i, j) if side == "T" else (j, i)
+                    if survives(a, b, r + 1) and survives(p - a, q - b, r + 1):
                         break
                 else:
                     return False
         return True
 
-    return "exists" if survives(((t_size, t2_size),), n) else "forall"
+    return survives
+
+
+def brute_force_winner(t_size: int, t2_size: int, n: int) -> str:
+    """Exact game value ("exists" or "forall"): every rule reads cell
+    sizes only, so the second player wins iff the starting cell survives
+    with every reply count allowed."""
+    check_counts(t_size=t_size, t2_size=t2_size, n=n)
+    survives = _cell_survival(
+        n, lambda p, q, r, i, side: range((q if side == "T" else p) + 1), lambda r: 2)
+    return "exists" if survives(t_size, t2_size, 0) else "forall"
 
 
 # ---------------------------------------------------------------------------
@@ -228,18 +235,35 @@ def verify_seurat_strategy(
     draws one uniform side/subset choice per round from a fixed seed.
     The survival invariant (:func:`dagger_holds`) is asserted after
     every round.
+
+    Exhaustive mode counts the (2^|T| + 2^|T'|)^(n-r) plays below a
+    position as won once every cell survives (:func:`_cell_survival`)
+    under the strategy's replies, each read from a one-cell position
+    with the i smallest points chosen, and the invariant's bound
+    2^(n+1-r) >= 2, which implies the loss rule.  This is exact for
+    strategies that answer each palette from its cell's sizes and the
+    round, as :func:`lemma43_strategy` does; a counterexample is the
+    same first losing line with the same play number.
     """
     check_counts(t_size=t_size, t2_size=t2_size, n=n)
-    t_set = frozenset(range(t_size))
-    t2_set = frozenset(range(t2_size))
-    start = SeuratPosition.initial(n, t_set, t2_set)
+    start = SeuratPosition.initial(n, range(t_size), range(t2_size))
     if forall_wins(start) is not None:
         return Verdict("counterexample", ["initial position lost"],
                        "the initial position is lost")
-    grounds = (("T", sorted(t_set)), ("T2", sorted(t2_set)))
+    grounds = (("T", range(t_size)), ("T2", range(t2_size)))
 
     if mode == "exhaustive":
         starts = 1
+
+        def strategy_reply(p, q, r, i, side):
+            cell = (frozenset(range(p)), frozenset(range(q)))
+            try:
+                reply = strategy(SeuratPosition(n, r, {0: cell}), frozenset(range(i)), side)
+            except SeuratStrategyFailure:
+                return ()
+            return (len(cell[1 if side == "T" else 0].intersection(reply)),)
+
+        survives = _cell_survival(n, strategy_reply, lambda r: 1 << (n + 1 - r))
 
         def moves():
             for side, ground in grounds:
@@ -263,8 +287,9 @@ def verify_seurat_strategy(
 
     def dfs(pos: SeuratPosition) -> Optional[list[str]]:
         nonlocal plays
-        if pos.r == pos.n:
-            plays += 1
+        if pos.r == pos.n or mode == "exhaustive" and all(
+                survives(len(a), len(b), pos.r) for a, b in pos.cells.values()):
+            plays += (2**t_size + 2**t2_size) ** (pos.n - pos.r)
             return None
         for side, chosen in moves():
             nxt, reply, bad = _play_one_round(pos, side, chosen, strategy)

@@ -28,9 +28,10 @@ class Verdict:
     is ever formatted.
 
     ``states`` counts the positions a search expanded and ``plays`` the
-    plays run; each engine fills in the count it keeps.  A spent state
-    budget reports ``states`` as the budget plus one, the expansion that
-    was refused.
+    plays run, or, in an exhaustive colouring check, decided, including
+    those its per-cell cut decides; each engine fills in the count it
+    keeps.  A spent state budget reports ``states`` as the budget plus
+    one, the expansion that was refused.
     """
 
     status: str

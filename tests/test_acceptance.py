@@ -119,15 +119,20 @@ def test_criterion_5_colouring_strategy_verified(capsys):
     r3 = verify_seurat_strategy(
         16, 16, 3, mode="sampled", samples=100_000, seed=20260826,
     )
+    r4 = verify_seurat_strategy(16, 16, 3)
+    r5 = verify_seurat_strategy(32, 32, 4)
     dt = time.monotonic() - t0
     ok = (
         r1.status == "verified" and r2.status == "verified"
         and r3.status == "verified-sampled" and r3.plays == 100_000
+        and r4.status == "verified" and r4.plays == (2**16 + 2**16) ** 3
+        and r5.status == "verified" and r5.plays == (2**32 + 2**32) ** 4
     )
     _report(
         capsys, 5, ok,
-        "balancing strategy exhaustive on 1 round over 4+4 points and "
-        "2 rounds over 8+8, sampled 100000 plays on 3 rounds over 16+16, "
+        "balancing strategy exhaustive on 1 round over 4+4 points, "
+        "2 rounds over 8+8, 3 rounds over 16+16 and 4 rounds over 32+32, "
+        "sampled 100000 plays on 3 rounds over 16+16, "
         f"survival invariant held throughout ({dt:.1f}s)",
     )
 
@@ -180,9 +185,8 @@ def test_criterion_8_representability_prediction(capsys):
     ok = predicted_representable(4, 4) and not predicted_representable(5, 4)
     _report(
         capsys, 8, ok,
-        "4 greens over 4 reds predicted representable, 5 over 4 not; "
-        "the same s <= t criterion separates the depth-1-equivalent pair "
-        "of criterion 7",
+        "B(4,4), 4 greens over 4 reds, predicted representable and "
+        "B(5,4), 5 greens over 4 reds, not, by the s <= t criterion",
     )
 
 
@@ -257,4 +261,24 @@ def test_criterion_11_invariant_suites(capsys):
         capsys, 11, ok,
         "strategy, survival and refinement invariants all hold on their "
         "check suites",
+    )
+
+
+def test_criterion_12_colouring_game_threshold(capsys):
+    t0 = time.monotonic()
+    bad = [
+        (p, q, n)
+        for n in range(4)
+        for p in range(17)
+        for q in range(17)
+        if (brute_force_winner(p, q, n) == "exists")
+        != (p == q or min(p, q) >= 2 ** (n + 1))
+    ]
+    dt = time.monotonic() - t0
+    _report(
+        capsys, 12, not bad,
+        "exact solver: the second player wins G_n(p, q) iff p = q or "
+        "min(p, q) >= 2^(n+1), for all 1156 values with n <= 3 and "
+        "p, q <= 16, so the paper's bound is tight there "
+        f"({len(bad)} mismatches, {dt:.1f}s)",
     )

@@ -7,7 +7,6 @@ import pytest
 from relalg import Algebra, Rainbow
 from relalg.efgame import (
     EFPosition,
-    MirrorStrategy,
     Prop44Strategy,
     pair_closure,
     position_winner,
@@ -211,6 +210,16 @@ def test_compose_all_matches_compose():
 
 # ---------------------------------------------------------------------------
 # strategies
+
+
+class MirrorStrategy:
+    """Answer every move with the identical element; needs A = B."""
+
+    def start(self, n: int):
+        return None
+
+    def respond(self, ctx, side: str, elem: int) -> int:
+        return elem
 
 
 def test_mirror_strategy_verified_on_identical_algebras():

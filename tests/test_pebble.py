@@ -8,7 +8,6 @@ from relalg import Rainbow
 from relalg.pebble import (
     AtomRelStructure,
     Cor33Strategy,
-    MirrorPebbleStrategy,
     PebbleStrategyFailure,
     _move_line,
     partial_iso,
@@ -92,6 +91,13 @@ def test_green_swap_is_a_partial_iso():
 
 # ---------------------------------------------------------------------------
 # strategies
+
+
+class MirrorPebbleStrategy:
+    """Answer with the identical atom; for a structure against itself."""
+
+    def respond(self, pos, side: str, pebble: int, atom: int) -> int:
+        return atom
 
 
 def test_mirror_strategy_verified_on_self():

@@ -1,5 +1,8 @@
 """Colouring game: positions, exact values, and the balancing strategy."""
 
+from functools import lru_cache
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -8,6 +11,7 @@ from relalg.seurat import (
     SeuratPosition,
     SeuratSession,
     SeuratStrategyFailure,
+    _transcript_line,
     apply_round,
     brute_force_winner,
     dagger_holds,
@@ -15,6 +19,7 @@ from relalg.seurat import (
     lemma43_strategy,
     verify_seurat_strategy,
 )
+from relalg.verdict import Verdict
 
 
 # ---------------------------------------------------------------------------
@@ -181,3 +186,114 @@ def test_strategy_survives_random_two_round_attacks(picks):
         sess.play(side, chosen)
         assert forall_wins(sess.pos) is None
         assert dagger_holds(sess.pos)
+
+
+# ---------------------------------------------------------------------------
+# the per-cell recursion against the plain searches it replaced
+
+
+def reference_winner(t_size, t2_size, n):
+    """Exact game value by search over multisets of cell sizes, with a
+    product over every count vector of the first player and the reply."""
+
+    @lru_cache(maxsize=None)
+    def survives(cells, rounds_left):
+        if any(p != q and (p < 2 or q < 2) for p, q in cells):
+            return False
+        if rounds_left == 0:
+            return True
+        for side in (0, 1):
+            mover = [c[side] for c in cells]
+            other = [c[1 - side] for c in cells]
+            for picks in product(*(range(sz + 1) for sz in mover)):
+                for resp in product(*(range(sz + 1) for sz in other)):
+                    nxt = []
+                    for (p, q), i, j in zip(cells, picks, resp):
+                        pi, qi = (i, j) if side == 0 else (j, i)
+                        nxt += [(pi, qi), (p - pi, q - qi)]
+                    if survives(tuple(sorted(nxt)), rounds_left - 1):
+                        break
+                else:
+                    return False
+        return True
+
+    return "exists" if survives(((t_size, t2_size),), n) else "forall"
+
+
+def reference_verify(t_size, t2_size, n, strategy):
+    """Exhaustive strategy check with no cut: every subset of both point
+    sets, every round, in the move order of verify_seurat_strategy."""
+    start = SeuratPosition.initial(n, range(t_size), range(t2_size))
+    if forall_wins(start) is not None:
+        return Verdict("counterexample", ["initial position lost"],
+                       "the initial position is lost")
+    moves = [
+        (side, frozenset(g for g in range(size) if mask >> g & 1))
+        for side, size in (("T", t_size), ("T2", t2_size))
+        for mask in range(1 << size)
+    ]
+    plays = 0
+
+    def dfs(pos):
+        nonlocal plays
+        if pos.r == pos.n:
+            plays += 1
+            return None
+        for side, chosen in moves:
+            try:
+                reply = strategy(pos, chosen, side)
+            except SeuratStrategyFailure as exc:
+                return [f"round {pos.r} | strategy failure: {exc}"]
+            nxt = (apply_round(pos, chosen, reply) if side == "T"
+                   else apply_round(pos, reply, chosen))
+            line = _transcript_line(nxt, side, chosen, reply)
+            pal = forall_wins(nxt)
+            if pal is not None or not dagger_holds(nxt):
+                return [line, "survival invariant broken" if pal is None
+                        else f"forall wins with palette {pal:b}"]
+            bad = dfs(nxt)
+            if bad is not None:
+                return [line] + bad
+        return None
+
+    bad = dfs(start)
+    if bad is not None:
+        return Verdict("counterexample", bad,
+                       f"strategy reached a losing position in play {plays + 1}",
+                       plays=plays)
+    return Verdict("verified", plays=plays)
+
+
+def _fails_in_round_1(pos, chosen, side):
+    if pos.r == 1:
+        raise SeuratStrategyFailure("fake failure at round 1")
+    return lemma43_strategy(pos, chosen, side)
+
+
+SWEEP = [
+    (p, q, n)
+    for n in range(3)
+    for p in range(9)
+    for q in range(9)
+    if n < 2 or p + q <= 12
+]
+
+
+@pytest.mark.parametrize("strategy", [lemma43_strategy, _fails_in_round_1])
+def test_exhaustive_check_matches_plain_search(strategy):
+    for p, q, n in SWEEP:
+        assert verify_seurat_strategy(p, q, n, strategy=strategy) == (
+            reference_verify(p, q, n, strategy)), (p, q, n)
+
+
+def test_exact_values_match_multiset_search():
+    for n in range(3):
+        for p in range(7):
+            for q in range(7):
+                assert brute_force_winner(p, q, n) == reference_winner(p, q, n), (p, q, n)
+
+
+def test_exhaustive_three_rounds_over_sixteen_points():
+    res = verify_seurat_strategy(16, 16, 3)
+    assert res.status == "verified"
+    assert res.plays == (2**16 + 2**16) ** 3
