@@ -117,6 +117,57 @@ class Algebra:
             out.append(list(pick(row)))
         return out
 
+    @cached_property
+    def twin_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The classes of twin atoms with two or more members, in atom
+        order.
+
+        Atoms i and j are twins when the transposition (i j) is an
+        automorphism: it keeps the identity atoms, commutes with
+        ``conv_atom``, and ``comp[τa][τb] == τ(comp[a][b])`` for all a, b.
+        Twinship is an equivalence, since (i k) = (i j)(j k)(i j), so every
+        permutation inside a class is an automorphism and each atom is
+        compared only with the first member of each class found so far.
+        The converse is checked on i, j and their converses, the only
+        atoms where the two sides can differ.  Row i of the table is
+        checked first, entry by entry, as most non-twins already differ
+        there; row j needs no check, as its condition at b is row i's at
+        τb.  Computed on first use, never when the algebra is built.
+        """
+        k, comp, conv = self.n_atoms, self.comp, self.conv_atom
+        ident = self.identity_mask
+
+        def twins(i: int, j: int) -> bool:
+            tau = list(range(k))
+            tau[i], tau[j] = j, i
+            flip = 1 << i | 1 << j
+
+            def moved(m: int) -> int:
+                return m ^ flip if (m >> i ^ m >> j) & 1 else m
+
+            def row_kept(a: int) -> bool:
+                """The condition on row a, for a outside {i, j}."""
+                row = list(map(moved, comp[a]))
+                row[i], row[j] = row[j], row[i]
+                return comp[a] == row
+
+            return (
+                (ident >> i ^ ident >> j) & 1 == 0
+                and all(conv[tau[a]] == tau[conv[a]] for a in (i, j, conv[i], conv[j]))
+                and all(comp[j][tau[b]] == moved(comp[i][b]) for b in range(k))
+                and all(row_kept(a) for a in range(k) if a not in (i, j))
+            )
+
+        classes: list[list[int]] = []
+        for i in range(k):
+            for cls in classes:
+                if twins(i, cls[0]):
+                    cls.append(i)
+                    break
+            else:
+                classes.append([i])
+        return tuple(tuple(cls) for cls in classes if len(cls) > 1)
+
     def elem_name(self, x: int) -> str:
         if x == 0:
             return "0"

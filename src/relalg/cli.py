@@ -139,7 +139,7 @@ def cmd_efgame(args) -> int:
         print(str(exc), file=sys.stderr)
         return USAGE
     return _finish(res, f"verified ({args.mode}): {res.plays} plays, "
-                        "no losing position")
+                        f"no losing position; {res.states} position classes checked")
 
 
 def cmd_seurat(args) -> int:

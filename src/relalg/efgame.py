@@ -17,6 +17,13 @@ atom with an int over those pairs.  A direct pairwise closure
 small instances.
 
 :func:`verify_ef_strategy` returns a :class:`~relalg.verdict.Verdict`.
+Within one call it decides each position once per class of positions
+under permutations inside the twin classes of the two algebras
+(:attr:`Algebra.twin_classes`, atoms that an automorphism swaps):
+every such permutation is a pair of automorphisms, and the pairing
+extends to an isomorphism in both of two positions it relates or in
+neither.  Every play is still run, so the strategy still answers every
+move.
 """
 
 from __future__ import annotations
@@ -252,15 +259,39 @@ def _round_line(i: int, side: str, elem: int, resp: int, status: str) -> str:
     )
 
 
-def _play_out(alg_a, alg_b, strategy, n, moves) -> Optional[list[str]]:
-    """Run one play from a fixed first-player move list; None if the
-    strategy survives it, else the transcript of the lost play."""
+def _twin_key(alg: Algebra):
+    """The key of one side's played masks up to permutations inside the
+    algebra's twin classes.
+
+    It holds each mask's part outside every class and, per class, the
+    sorted membership vectors of the class's atoms (bit p of an atom's
+    vector says it lies in mask p): the sizes of the Venn regions of the
+    masks inside the class.  Two mask lists have equal keys iff some
+    permutation inside each class maps the one onto the other.
+    """
+    classes = alg.twin_classes
+    fixed = alg.one & ~sum(1 << x for cls in classes for x in cls)
+
+    def key(masks: list[int]) -> tuple:
+        return tuple(m & fixed for m in masks), tuple(
+            tuple(sorted(sum((m >> x & 1) << p for p, m in enumerate(masks))
+                         for x in cls))
+            for cls in classes
+        )
+
+    return key
+
+
+def _play_out(alg_a, alg_b, strategy, n, moves, exists_ok) -> Optional[list[str]]:
+    """Run one play from a fixed first-player move list, deciding each
+    position with ``exists_ok``; None if the strategy survives it, else
+    the transcript of the lost play."""
     ctx = strategy.start(n)
     pos = EFPosition(alg_a, alg_b)
     for i, (side, elem) in enumerate(moves):
         resp = strategy.respond(ctx, side, elem)
         pos = pos.extended(*((elem, resp) if side == "A" else (resp, elem)))
-        if not position_winner(pos).exists_ok:
+        if not exists_ok(pos):
             return [
                 _round_line(j, s, e, b if s == "A" else a,
                             "ok" if j < i else "forall wins")
@@ -302,6 +333,20 @@ def verify_ef_strategy(
     and is only allowed for n <= 1 on algebras up to 2^13 elements;
     larger runs must use sampled mode, whose verdict is labelled
     "verified-sampled" and never counts as exhaustive.
+
+    Each position is decided by :func:`position_winner` once per class,
+    keyed on both sides' :func:`_twin_key`, and the verdict's ``states``
+    is the number of classes decided, which is the number of
+    :func:`position_winner` calls.  This is exact.  Equal keys give, on
+    each side, a permutation inside that side's twin classes that maps
+    the one position's played masks onto the other's.  Such a
+    permutation is an automorphism, as a product of twin
+    transpositions, and it fixes the identity.  So if f is an
+    isomorphism between the subalgebras the first pairing generates,
+    the permutations carry it to one that extends the second pairing,
+    and the other way round.  Every play is still run in full, so moves,
+    ``plays``, transcripts and the first lost play are those of checking
+    each position afresh.
     """
     check_counts(n=n)
     if mode == "exhaustive":
@@ -323,12 +368,22 @@ def verify_ef_strategy(
         move_lists = _sampled_moves(alg_a, alg_b, n, samples, random.Random(seed))
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    key_a, key_b = _twin_key(alg_a), _twin_key(alg_b)
+    decided: dict = {}
+
+    def exists_ok(pos: EFPosition) -> bool:
+        key = key_a([a for a, _ in pos.pairs]), key_b([b for _, b in pos.pairs])
+        ok = decided.get(key)
+        if ok is None:
+            ok = decided[key] = position_winner(pos).exists_ok
+        return ok
+
     plays = 0
     for moves in move_lists:
         plays += 1
-        lost = _play_out(alg_a, alg_b, strategy, n, moves)
+        lost = _play_out(alg_a, alg_b, strategy, n, moves, exists_ok)
         if lost is not None:
-            return Verdict("counterexample", lost, plays=plays,
+            return Verdict("counterexample", lost, states=len(decided), plays=plays,
                            reason=f"strategy reached a losing position in play {plays}")
     status = "verified" if mode == "exhaustive" else "verified-sampled"
-    return Verdict(status=status, plays=plays)
+    return Verdict(status=status, states=len(decided), plays=plays)

@@ -27,11 +27,13 @@ class Verdict:
     search, from each position's parent link, so no move of a won line
     is ever formatted.
 
-    ``states`` counts the positions a search expanded and ``plays`` the
-    plays run, or, in an exhaustive colouring check, decided, including
-    those its per-cell cut decides; each engine fills in the count it
-    keeps.  A spent state budget reports ``states`` as the budget plus
-    one, the expansion that was refused.
+    ``states`` counts the positions a search expanded, or, in the
+    equivalence game, the classes of positions it decided, one
+    ``position_winner`` call each.  ``plays`` counts the plays run, or,
+    in an exhaustive colouring check, decided, including those its
+    per-cell cut decides; each engine fills in the count it keeps.  A
+    spent state budget reports ``states`` as the budget plus one, the
+    expansion that was refused.
     """
 
     status: str

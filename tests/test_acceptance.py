@@ -176,8 +176,9 @@ def test_criterion_7_equivalence_game_strategy(capsys):
     _report(
         capsys, 7, ok,
         f"one-round game between 4 and 5 greens verified exhaustively over "
-        f"{res1.plays} first moves; two-round game between 8 and 9 greens "
-        f"verified on {res2.plays} sampled plays ({dt:.1f}s)",
+        f"{res1.plays} first moves ({res1.states} position classes checked); "
+        f"two-round game between 8 and 9 greens verified on {res2.plays} "
+        f"sampled plays ({res2.states} position classes checked) ({dt:.1f}s)",
     )
 
 

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relalg.algebra import Algebra, Element, bits, check_axioms
-from relalg.atoms import AtomStructure, peircean_transforms
+from relalg.atoms import AtomStructure, make_structure, peircean_transforms
 from relalg.rainbow import Rainbow, build_rainbow
 from test_atoms import six_transform_validate
-from test_logic import S3
+from test_logic import S3, TINY
 
 
 @pytest.fixture(scope="module")
@@ -182,3 +182,99 @@ def test_element_type_guards(alg):
     e = Element(alg, 0b11)
     assert (e & ~e).mask == 0
     assert (e | ~e).mask == alg.one
+
+
+# ---------------------------------------------------------------------------
+# twin atoms
+
+
+def is_automorphism(alg, perm):
+    """Whether the atom permutation ``perm`` keeps the identity, the
+    converse and every entry of the composition table."""
+    k = alg.n_atoms
+
+    def image(m):
+        return sum(1 << perm[x] for x in bits(m))
+
+    return (
+        image(alg.identity_mask) == alg.identity_mask
+        and all(alg.conv_atom[perm[a]] == perm[alg.conv_atom[a]] for a in range(k))
+        and all(alg.comp[perm[a]][perm[b]] == image(alg.comp[a][b])
+                for a in range(k) for b in range(k))
+    )
+
+
+def swap(k, i, j):
+    perm = list(range(k))
+    perm[i], perm[j] = j, i
+    return perm
+
+
+def brute_force_twin_classes(alg):
+    """Every atom pair tried with the full automorphism check; the classes
+    of two or more atoms, in atom order.  Asserts that twinship is an
+    equivalence on the way."""
+    k = alg.n_atoms
+    twin = {(i, j) for i in range(k) for j in range(k)
+            if i == j or is_automorphism(alg, swap(k, i, j))}
+    classes = {tuple(j for j in range(k) if (i, j) in twin) for i in range(k)}
+    assert twin == {(i, j) for cls in classes for i in cls for j in cls}
+    return tuple(sorted(cls for cls in classes if len(cls) > 1))
+
+
+# 1', a, b, all self-converse, with (a, a, a) the only forbidden triple
+# past the identity ones: a and b differ only on triples among
+# themselves, which the table rows of other atoms do not show
+SWAP_ONLY_IN_OWN_ROWS = Algebra(make_structure(
+    ["1'", "a", "b"], ["1'"], [],
+    [("1'", x, y) for x in ("1'", "a", "b") for y in ("1'", "a", "b") if x != y]
+    + [("a", "a", "a")],
+))
+
+
+def converse_moved(structure):
+    """B(3,2) with g0 and w made each other's converse: the table still
+    treats g0 like the other greens, the converse does not."""
+    conv = list(structure.conv)
+    g0, w = structure.atom("g0"), structure.atom("w")
+    conv[g0], conv[w] = w, g0
+    return Algebra(replace(structure, conv=tuple(conv)))
+
+
+TWIN_CASES = {
+    "TINY": TINY,
+    "S3": S3,
+    "3 atoms": SWAP_ONLY_IN_OWN_ROWS,
+    "B(3,2) converse moved": converse_moved(build_rainbow(3, 2)),
+    **{f"B({s},{t})": Algebra(build_rainbow(s, t))
+       for s in (1, 2, 3) for t in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("case", list(TWIN_CASES))
+def test_twin_classes_match_brute_force(case):
+    alg = TWIN_CASES[case]
+    assert alg.twin_classes == brute_force_twin_classes(alg)
+    for cls in alg.twin_classes:
+        for j in cls[1:]:
+            assert is_automorphism(alg, swap(alg.n_atoms, cls[0], j))
+
+
+def test_twin_classes_of_rainbows():
+    assert check_axioms(SWAP_ONLY_IN_OWN_ROWS.structure) == []
+    assert SWAP_ONLY_IN_OWN_ROWS.twin_classes == ()
+    assert converse_moved(build_rainbow(3, 2)).twin_classes == ((5, 6),)
+    for s, t in product((1, 2, 3, 4), (1, 2, 3)):
+        st_ = build_rainbow(s, t)
+        greens = tuple(st_.atom(f"g{i}") for i in range(s))
+        want = [greens] if s > 1 else []
+        if t == 1:
+            want.insert(0, (st_.atom("w"), st_.atom("r0_0")))
+        assert Algebra(st_).twin_classes == tuple(want), (s, t)
+
+
+def test_twin_classes_are_lazy():
+    alg = Algebra(build_rainbow(3, 2))
+    assert "twin_classes" not in vars(alg)
+    classes = alg.twin_classes
+    assert vars(alg)["twin_classes"] is classes

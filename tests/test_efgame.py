@@ -1,10 +1,12 @@
 """Element-pairing equivalence game: position checks and strategies."""
 
+import itertools
 import random
 
 import pytest
 
-from relalg import Algebra, Rainbow
+from relalg import Algebra, Rainbow, efgame
+from relalg.algebra import bits
 from relalg.efgame import (
     EFPosition,
     Prop44Strategy,
@@ -14,6 +16,7 @@ from relalg.efgame import (
 )
 from relalg.rainbow import YELLOW
 from relalg.seurat import SeuratStrategyFailure
+from relalg.verdict import Verdict
 
 RB22 = Rainbow.make(2, 2)
 RB32 = Rainbow.make(3, 2)
@@ -320,3 +323,216 @@ def _closure_cells(pos):
     pairs = pair_closure(pos).pairs
     atoms = set(_subalgebra_atoms({a for a, _ in pairs}))
     return {(a, b) for a, b in pairs if a in atoms}
+
+
+def _generated_blocks(pos):
+    """The atoms of the subalgebra of A x B that the pairs and the
+    constants generate, as (mask in A, mask in B) pairs.
+
+    Unlike :func:`pair_closure` this does not stop at a clash.  The
+    blocks start as the Venn regions of the generators and are split by
+    the converse of each block and the product of each pair of blocks,
+    until none splits.  Each element of the generated subalgebra is a
+    union of blocks.
+    """
+    alg_a, alg_b = pos.alg_a, pos.alg_b
+    blocks = {(alg_a.one, alg_b.one)}
+
+    def split(by):
+        ea, eb = by
+        return {
+            part
+            for ma, mb in blocks
+            for part in ((ma & ea, mb & eb), (ma & ~ea, mb & ~eb))
+            if part != (0, 0)
+        }
+
+    for pair in list(pos.pairs) + [(alg_a.identity_mask, alg_b.identity_mask)]:
+        blocks = split(pair)
+    while True:
+        before = sorted(blocks)
+        for ma, mb in before:
+            blocks = split((alg_a.converse(ma), alg_b.converse(mb)))
+            for ma2, mb2 in before:
+                blocks = split((alg_a.compose(ma, ma2), alg_b.compose(mb, mb2)))
+        if sorted(blocks) == before:
+            return blocks
+
+
+def _in_closure(pair, blocks):
+    """Whether a (mask in A, mask in B) pair is a union of blocks."""
+    wa, wb = pair
+    return all((ma & wa, mb & wb) in ((0, 0), (ma, mb)) for ma, mb in blocks)
+
+
+@pytest.mark.parametrize("s_a, s_b, t", [(2, 3, 2), (2, 3, 1)])
+def test_witness_and_cells_lie_in_the_generated_subalgebra(s_a, s_b, t):
+    # An algebra with one identity atom is simple: 1;x;1 = 1 for x != 0.
+    # So once a pairing fails to extend, its closure holds (1, 0) and
+    # (0, 1), and with them every pair of generated elements; a "forall"
+    # witness is then right exactly when it is one-sided, non-zero and
+    # generated, which is what this can check.
+    rb_a, rb_b = Rainbow.make(s_a, t), Rainbow.make(s_b, t)
+    alg_a, alg_b = Algebra(rb_a.structure), Algebra(rb_b.structure)
+    rng = random.Random(77 + t)
+    winners = set()
+    for pos in _sampled_positions(rb_a, rb_b, alg_a, alg_b, 150, rng):
+        v = position_winner(pos)
+        blocks = _generated_blocks(pos)
+        if v.exists_ok:
+            assert set(v.cells) == blocks  # the isomorphism's graph
+        else:
+            assert 0 in v.witness and v.witness != (0, 0)
+            assert _in_closure(v.witness, blocks)
+            assert all(0 in block for block in blocks)
+        winners.add(v.winner)
+    assert winners == {"exists", "forall"}
+
+
+# ---------------------------------------------------------------------------
+# position classes under twin permutations
+
+
+def _memo_free_verdict(alg_a, alg_b, strategy, n, mode="exhaustive",
+                       samples=10_000, seed=None):
+    """The play loop before position classes: every position of every
+    play is decided by its own position_winner call."""
+    if mode == "exhaustive":
+        move_lists = [[(side, elem)] for side, alg in (("A", alg_a), ("B", alg_b))
+                      for elem in range(alg.size)]
+    else:
+        move_lists = efgame._sampled_moves(alg_a, alg_b, n, samples,
+                                           random.Random(seed))
+    plays = 0
+    for moves in move_lists:
+        plays += 1
+        ctx = strategy.start(n)
+        pos = EFPosition(alg_a, alg_b)
+        for i, (side, elem) in enumerate(moves):
+            resp = strategy.respond(ctx, side, elem)
+            pos = pos.extended(*((elem, resp) if side == "A" else (resp, elem)))
+            if not position_winner(pos).exists_ok:
+                lost = [
+                    efgame._round_line(j, s, e, b if s == "A" else a,
+                                       "ok" if j < i else "forall wins")
+                    for j, ((s, e), (a, b)) in enumerate(zip(moves, pos.pairs))
+                ]
+                return Verdict("counterexample", lost, plays=plays,
+                               reason=f"strategy reached a losing position in play {plays}")
+    return Verdict("verified" if mode == "exhaustive" else "verified-sampled",
+                   plays=plays)
+
+
+SWEEP = [
+    (1, 2, 1, 1, {}),
+    (2, 3, 1, 1, {}),
+    (3, 4, 1, 1, {}),
+    (4, 5, 1, 1, {}),
+    (2, 2, 2, 1, {}),
+    (2, 3, 2, 1, {}),
+    (3, 4, 2, 1, {}),
+    (1, 2, 2, 1, {}),
+    (4, 5, 2, 1, {"mode": "sampled", "samples": 400, "seed": 5}),
+    (3, 4, 2, 1, {"mode": "sampled", "samples": 400, "seed": 6}),
+    (4, 5, 1, 2, {"mode": "sampled", "samples": 300, "seed": 7}),
+    (8, 9, 2, 2, {"mode": "sampled", "samples": 300, "seed": 8}),
+    *[(2, 3, 2, 2, {"mode": "sampled", "samples": 200, "seed": seed})
+      for seed in range(4)],
+]
+
+
+@pytest.mark.parametrize("s_a, s_b, t, n, kw", SWEEP)
+def test_position_classes_change_no_verdict(monkeypatch, s_a, s_b, t, n, kw):
+    rb_a, rb_b = Rainbow.make(s_a, t), Rainbow.make(s_b, t)
+    alg_a, alg_b = Algebra(rb_a.structure), Algebra(rb_b.structure)
+    calls = []
+
+    def counted(pos):
+        calls.append(pos)
+        return position_winner(pos)
+
+    def outcome(verify):
+        """The Verdict fields but ``states``, or the strategy's failure
+        where it raises one: both loops let it escape alike."""
+        try:
+            v = verify(alg_a, alg_b, Prop44Strategy(rb_a, rb_b), n, **kw)
+        except SeuratStrategyFailure as exc:
+            return "raised", str(exc)
+        return v.status, v.reason, v.plays, v.transcript, v
+
+    want = outcome(_memo_free_verdict)
+    monkeypatch.setattr(efgame, "position_winner", counted)
+    got = outcome(verify_ef_strategy)
+    assert got[:4] == want[:4]
+    if got[0] != "raised":
+        assert got[4].states == len(calls) <= n * got[4].plays
+
+
+def test_position_class_counts():
+    counts = {}
+    for s_a, s_b, t in [(4, 5, 1), (3, 4, 2), (4, 5, 2)]:
+        rb_a, rb_b = Rainbow.make(s_a, t), Rainbow.make(s_b, t)
+        v = verify_ef_strategy(Algebra(rb_a.structure), Algebra(rb_b.structure),
+                               Prop44Strategy(rb_a, rb_b), 1)
+        counts[s_a, s_b, t] = v.status, v.plays, v.states
+    assert counts == {
+        (4, 5, 1): ("verified", 1536, 144),
+        (3, 4, 2): ("counterexample", 2097, 1025),
+        (4, 5, 2): ("verified", 12288, 1536),
+    }
+
+
+def _permuted(mask, perm):
+    return sum(1 << perm[x] for x in bits(mask))
+
+
+def _random_twin_perm(alg, rng):
+    """An atom permutation that shuffles each twin class at random."""
+    perm = list(range(alg.n_atoms))
+    for cls in alg.twin_classes:
+        for x, y in zip(cls, rng.sample(cls, len(cls))):
+            perm[x] = y
+    return perm
+
+
+@pytest.mark.parametrize(
+    "s_a, s_b, t, count", [(2, 3, 1, 150), (4, 5, 1, 150), (3, 4, 2, 150), (8, 9, 2, 60)]
+)
+def test_twin_permutations_keep_key_and_winner(s_a, s_b, t, count):
+    rb_a, rb_b = Rainbow.make(s_a, t), Rainbow.make(s_b, t)
+    alg_a, alg_b = Algebra(rb_a.structure), Algebra(rb_b.structure)
+    key_a, key_b = efgame._twin_key(alg_a), efgame._twin_key(alg_b)
+    rng = random.Random(10 * s_a + t)
+    winners = set()
+    for pos in _sampled_positions(rb_a, rb_b, alg_a, alg_b, count, rng):
+        perm_a, perm_b = _random_twin_perm(alg_a, rng), _random_twin_perm(alg_b, rng)
+        moved = EFPosition(alg_a, alg_b, tuple(
+            (_permuted(a, perm_a), _permuted(b, perm_b))
+            for a, b in pos.pairs
+        ))
+        winner = position_winner(pos).winner
+        assert position_winner(moved).winner == winner
+        for key, side in ((key_a, 0), (key_b, 1)):
+            assert key([p[side] for p in pos.pairs]) == key([p[side] for p in moved.pairs])
+        winners.add(winner)
+    assert winners == {"exists", "forall"}
+
+
+def test_equal_keys_give_equal_winners():
+    # every two-pair position over B(3,2) twice whose pairs share one
+    # non-green part, the greens of all four masks ranging freely
+    rb = Rainbow.make(3, 2)
+    alg_a, alg_b = Algebra(rb.structure), Algebra(rb.structure)
+    key_a, key_b = efgame._twin_key(alg_a), efgame._twin_key(alg_b)
+    rng = random.Random(3)
+    greens = [sum(1 << rb.green(i) for i in range(3) if g >> i & 1) for g in range(8)]
+    base = [rng.randrange(alg_a.size) & ~rb.green_mask for _ in range(2)]
+    by_key = {}
+    for g1, g2, h1, h2 in itertools.product(greens, repeat=4):
+        pos = EFPosition(alg_a, alg_b, ((base[0] | g1, base[0] | h1),
+                                        (base[1] | g2, base[1] | h2)))
+        key = key_a([g1 | base[0], g2 | base[1]]), key_b([h1 | base[0], h2 | base[1]])
+        by_key.setdefault(key, set()).add(position_winner(pos).winner)
+    assert all(len(w) == 1 for w in by_key.values())
+    assert {w for ws in by_key.values() for w in ws} == {"exists", "forall"}
+    assert len(by_key) < 8 ** 4 // 10

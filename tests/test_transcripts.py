@@ -129,13 +129,13 @@ CASES = {
     ),
     "equivalence B(2,2)/B(3,2) n=1": (
         lambda: _ef(2, 3, 2, 1),
-        ("counterexample", "strategy reached a losing position in play 145", 0, 145, [
+        ("counterexample", "strategy reached a losing position in play 145", 113, 145, [
             "round 0 | forall: side=A elem=0x90 | exists: elem=0x110 | forall wins",
         ]),
     ),
     "equivalence B(2,2)/B(3,2) n=2 sampled": (
         lambda: _ef(2, 3, 2, 2, mode="sampled", samples=200, seed=3),
-        ("counterexample", "strategy reached a losing position in play 1", 0, 1, [
+        ("counterexample", "strategy reached a losing position in play 1", 2, 1, [
             "round 0 | forall: side=A elem=0x10b | exists: elem=0x20b | ok",
             "round 1 | forall: side=B elem=0x795 | exists: elem=0x3d5 | forall wins",
         ]),
