@@ -15,15 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import itemgetter, mul, or_
 
-from .atoms import AtomStructure
-
-
-def bits(mask: int):
-    """Iterate over set bit positions of a mask."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from .atoms import AtomStructure, bits, transpose
 
 
 def _or_rows(table: list[list[int]], atoms: list[int], k: int) -> list[int]:
@@ -45,11 +37,9 @@ class Algebra:
         self.one = (1 << k) - 1
         self.identity_mask = sum(1 << e for e in structure.identity)
         self.conv_atom = structure.conv
-        # comp[a][b] = mask of all c with (a, b, c) consistent
-        comp = [[0] * k for _ in range(k)]
-        for (a, b, c) in structure.consistent:
-            comp[a][b] |= 1 << c
-        self.comp = comp
+        # comp[a][b] = mask of all c with (a, b, c) consistent; rows are
+        # lists, which the row helpers below extend and compare
+        self.comp = [list(row) for row in structure.comp]
 
     @property
     def size(self) -> int:
@@ -285,9 +275,8 @@ def check_axioms(structure: AtomStructure) -> list[str]:
 
     slot = [1 << (c * k) for c in range(k)]
     packed = [sum(map(mul, row, slot)) for row in comp]
-    spread = [[0] * k for _ in range(k)]
-    for b, c, f in structure.consistent:  # f in b;c
-        spread[b][f] |= slot[c]
+    spread = [[sum(slot[c] for c in bits(col)) for col in transpose(row, k)]
+              for row in comp]  # bit c of transpose(comp[b])[f]: f in b;c
     for a in range(k):
         row = comp[a]
         for b in range(k):

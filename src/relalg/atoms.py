@@ -1,16 +1,22 @@
 """Finite relation-algebra atom structures.
 
 An atom structure records the atoms of a finite atomic relation algebra,
-the subset of identity atoms, the converse involution and the set of
-consistent triples (a, b, c), meaning a;b >= c.  The complement of the
-consistent set is the forbidden set; both are closed under the six
-Peircean transforms.
+the subset of identity atoms, the converse involution and which triples
+(a, b, c) are consistent, meaning a;b >= c.  The triples not consistent
+are forbidden; both sets are closed under the six Peircean transforms.
+
+The consistency relation is stored once, as the k x k table ``comp`` of
+int bit masks: bit c of ``comp[a][b]`` is set iff (a, b, c) is
+consistent.  It is the table every engine composes with.  Building,
+validating and writing a structure all work on such mask tables; the
+set of consistent triples is only a view derived from the table on
+demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cached_property
 from typing import Iterable, Sequence
 
 MAX_ATOMS = 64
@@ -22,12 +28,35 @@ class UnknownAtomError(KeyError):
     """An atom id that does not belong to the structure."""
 
 
+def bits(mask: int):
+    """Iterate over set bit positions of a mask."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def transpose(rows: Sequence[int], k: int) -> tuple[int, ...]:
+    """The transposed k x k bit matrix: bit b of ``out[c]`` is bit c of
+    ``rows[b]``.  Each row is written as a bit string with bit 0 first,
+    and the columns are read off with one zip."""
+    strings = [format(m, f"0{k}b")[::-1] for m in rows]
+    return tuple(int("".join(col)[::-1], 2) for col in zip(*strings))
+
+
 def peircean_transforms(t: Triple, conv: Sequence[int]) -> list[Triple]:
     """The six Peircean transforms of a triple, in a fixed order.
 
     The returned list is (a,b,c), (a~,c,b), (c,b~,a), (b,c~,a~),
     (c~,a,b~), (b~,a~,c~).  Applying the map again to any of the six
     yields the same six-element set.
+
+    When conv is an involution, so are the transforms
+    g1: (a,b,c) -> (a~,c,b) and g2: (a,b,c) -> (b~,a~,c~), and they
+    generate the other four: g1 then g2, g2 then g1, and g1, g2, g1 in
+    turn give the fifth, fourth and third entries.  So the six
+    transforms form a group, the six transforms of t are t's orbit, and
+    a set that g1 and g2 map into itself is closed under all six.
     """
     a, b, c = t
     return [
@@ -40,35 +69,17 @@ def peircean_transforms(t: Triple, conv: Sequence[int]) -> list[Triple]:
     ]
 
 
-def close_under_transforms(triples: Iterable[Triple], conv: Sequence[int]) -> set[Triple]:
-    """Close a set of triples under the Peircean transforms.
-
-    When conv is an involution, so are the transforms
-    g1: (a,b,c) -> (a~,c,b) and g2: (a,b,c) -> (b~,a~,c~), and they
-    generate the other four: g1 then g2, g2 then g1, and g1, g2, g1 in
-    turn give the fifth, fourth and third entries of
-    :func:`peircean_transforms`.  So the six transforms form a group,
-    the six transforms of t are t's orbit, and the closure is the union
-    of the inputs' orbits.  Each orbit is built once, from the first of
-    its members met; each later member costs one lookup.  For any other
-    conv the set returned need not be closed, and
-    :meth:`AtomStructure.validate` rejects the structure.
-    """
-    out: set[Triple] = set()
-    for t in triples:
-        if t not in out:
-            out.update(peircean_transforms(t, conv))
-    return out
-
-
 @dataclass(frozen=True)
 class AtomStructure:
-    """Immutable atom structure over atoms 0..k-1 with display names."""
+    """Immutable atom structure over atoms 0..k-1 with display names.
+
+    ``comp[a][b]`` is the mask of every atom c with (a, b, c) consistent.
+    """
 
     names: tuple[str, ...]
     identity: frozenset[int]
     conv: tuple[int, ...]
-    consistent: frozenset[Triple]
+    comp: tuple[tuple[int, ...], ...]
     _index: dict = field(init=False, default_factory=dict, repr=False, compare=False,
                          hash=False)
 
@@ -82,6 +93,16 @@ class AtomStructure:
     @property
     def n_atoms(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def consistent(self) -> frozenset[Triple]:
+        """The consistent triples, read off the table on first use."""
+        return frozenset(
+            (a, b, c)
+            for a, row in enumerate(self.comp)
+            for b, m in enumerate(row)
+            for c in bits(m)
+        )
 
     def atom(self, name: str) -> int:
         try:
@@ -104,28 +125,54 @@ class AtomStructure:
 
     def is_consistent(self, t: Triple) -> bool:
         self._check(*t)
-        return t in self.consistent
+        a, b, c = t
+        return self.comp[a][b] >> c & 1 == 1
 
     def transforms(self, t: Triple) -> list[Triple]:
         self._check(*t)
         return peircean_transforms(t, self.conv)
 
+    def _closed(self) -> bool:
+        """Whether the table is closed under g1 and g2, for an
+        involutive conv: g1 maps (a, b, c) to (a~, c, b), so it holds iff
+        ``comp[a~]`` is the transpose of ``comp[a]`` for every a, and g2
+        maps it to (b~, a~, c~), so it holds iff ``comp[b~][a~]`` is the
+        converse image of ``comp[a][b]`` for every a and b.  Each is an
+        equality, not only an inclusion, because the generator is an
+        involution: the inclusion at a~ (or at (b~, a~)) is the reverse
+        one.  Tables repeat few masks, so each mask's converse image is
+        computed once."""
+        k, conv, comp = len(self.names), self.conv, self.comp
+        if any(comp[conv[a]] != transpose(comp[a], k) for a in range(k)):
+            return False
+        image: dict[int, int] = {}
+        for a, row in enumerate(comp):
+            for b, m in enumerate(row):
+                if m not in image:
+                    image[m] = sum(1 << conv[c] for c in bits(m))
+                if image[m] != comp[conv[b]][conv[a]]:
+                    return False
+        return True
+
     def validate(self) -> list[str]:
         """Return every violated structural invariant, with a witness.
 
         An empty list means the structure is well formed.  Peircean
-        closure is first decided from the two generators g1 and g2 of
-        :func:`close_under_transforms`: when conv is an involution, a set
-        that both map into itself is closed under all six transforms,
-        since the other four are products of g1 and g2.  Only when that
-        check fails, or conv is not an involution, does the per-triple
-        loop run; it alone writes the closure messages, so the list is
-        the one it gives.
+        closure is first decided on the table from the generators g1 and
+        g2 (:meth:`_closed`), and identity coherence from the rows of
+        the identity atoms: ``comp[e][a]`` must be exactly a.  Only
+        where such a check fails, or conv is not an involution, do the
+        per-triple loops run; they alone write the closure and coherence
+        messages, so the list is the one they give.
         """
         k = len(self.names)
         bad: list[str] = []
         if len(self.conv) != k:
             return [f"converse table has {len(self.conv)} entries for {k} atoms"]
+        if len(self.comp) != k or any(
+            len(row) != k or any(m >> k for m in row) for row in self.comp
+        ):
+            return [f"composition table is not {k} x {k} masks of {k} bits"]
         for a in range(k):
             if not 0 <= self.conv[a] < k:
                 bad.append(f"involution: converse of {self.names[a]} out of range")
@@ -138,25 +185,23 @@ class AtomStructure:
         for e in self.identity:
             if self.conv[e] not in self.identity:
                 bad.append(f"identity not closed under converse at {self.names[e]}")
-        conv, consistent = self.conv, self.consistent
-        closed = (
-            involutive
-            and {(conv[a], c, b) for a, b, c in consistent} <= consistent
-            and {(conv[b], conv[a], conv[c]) for a, b, c in consistent} <= consistent
-        )
-        if not closed:
-            for t in self.consistent:
+        if not (involutive and self._closed()):
+            consistent = self.consistent
+            for t in consistent:
                 for u in peircean_transforms(t, self.conv):
-                    if u not in self.consistent:
+                    if u not in consistent:
                         bad.append(
                             f"Peircean closure: {self._fmt(t)} consistent "
                             f"but transform {self._fmt(u)} is not"
                         )
                         break
         for e in self.identity:
+            row = self.comp[e]
             for a in range(k):
+                if row[a] == 1 << a:
+                    continue
                 for b in range(k):
-                    if ((e, a, b) in self.consistent) != (a == b):
+                    if (row[a] >> b & 1 == 1) != (a == b):
                         bad.append(
                             f"identity coherence: {self._fmt((e, a, b))} "
                             f"{'consistent' if a != b else 'inconsistent'}"
@@ -176,26 +221,32 @@ def make_structure(
     """Build a structure from names and a forbidden generator list.
 
     Atoms not mentioned in ``converse_pairs`` are self-converse.  The
-    forbidden list is closed under Peircean transforms and complemented
-    to give the consistent set.  No validation is performed here; call
-    :meth:`AtomStructure.validate` on the result.
+    forbidden list is closed under Peircean transforms into a table of
+    forbidden masks: a generator's six transforms are written when the
+    first member of its orbit is met, and each later member costs one
+    bit test.  For an involutive conv this is the union of the
+    generators' orbits; for any other conv the result need not be
+    closed, and :meth:`AtomStructure.validate` rejects the structure.
+    Each cell's complement is its consistent mask.  No validation is
+    performed here; call :meth:`AtomStructure.validate` on the result.
     """
     names = tuple(names)
     index = {nm: i for i, nm in enumerate(names)}
-    conv = list(range(len(names)))
+    k = len(names)
+    conv = list(range(k))
     for a, b in converse_pairs:
         conv[index[a]] = index[b]
         conv[index[b]] = index[a]
-    forb = close_under_transforms(
-        [(index[a], index[b], index[c]) for a, b, c in forbidden], conv
-    )
-    k = len(names)
-    consistent = frozenset(
-        t for t in product(range(k), repeat=3) if t not in forb
-    )
+    forb = [[0] * k for _ in range(k)]
+    for x, y, z in forbidden:
+        a, b, c = index[x], index[y], index[z]
+        if not forb[a][b] >> c & 1:
+            for u, v, w in peircean_transforms((a, b, c), conv):
+                forb[u][v] |= 1 << w
+    full = (1 << k) - 1
     return AtomStructure(
         names=names,
         identity=frozenset(index[nm] for nm in identity),
         conv=tuple(conv),
-        consistent=consistent,
+        comp=tuple(tuple(full ^ m for m in row) for row in forb),
     )

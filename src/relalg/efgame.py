@@ -35,7 +35,7 @@ from typing import Optional
 
 from .algebra import Algebra
 from .rainbow import Rainbow
-from .seurat import SeuratSession
+from .seurat import SeuratSession, SeuratStrategyFailure
 from .verdict import Verdict, check_counts
 
 EXHAUSTIVE_MAX_ROUNDS = 1
@@ -285,18 +285,30 @@ def _twin_key(alg: Algebra):
 def _play_out(alg_a, alg_b, strategy, n, moves, exists_ok) -> Optional[list[str]]:
     """Run one play from a fixed first-player move list, deciding each
     position with ``exists_ok``; None if the strategy survives it, else
-    the transcript of the lost play."""
+    the transcript of the lost play.  A reply the strategy cannot give
+    (:class:`SeuratStrategyFailure`) loses the play: its round's line
+    ends ``exists: strategy failure: <message>``."""
     ctx = strategy.start(n)
     pos = EFPosition(alg_a, alg_b)
+
+    def played(last: str) -> list[str]:
+        return [
+            _round_line(j, s, e, b if s == "A" else a,
+                        "ok" if j < len(pos.pairs) - 1 else last)
+            for j, ((s, e), (a, b)) in enumerate(zip(moves, pos.pairs))
+        ]
+
     for i, (side, elem) in enumerate(moves):
-        resp = strategy.respond(ctx, side, elem)
+        try:
+            resp = strategy.respond(ctx, side, elem)
+        except SeuratStrategyFailure as exc:
+            return played("ok") + [
+                f"round {i} | forall: side={side} elem={elem:#x}"
+                f" | exists: strategy failure: {exc}"
+            ]
         pos = pos.extended(*((elem, resp) if side == "A" else (resp, elem)))
         if not exists_ok(pos):
-            return [
-                _round_line(j, s, e, b if s == "A" else a,
-                            "ok" if j < i else "forall wins")
-                for j, ((s, e), (a, b)) in enumerate(zip(moves, pos.pairs))
-            ]
+            return played("forall wins")
     return None
 
 

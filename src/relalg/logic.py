@@ -397,14 +397,6 @@ class _Planes:
         return fn, free
 
 
-def eval_term(t: Term, alg: Algebra, env: Optional[dict] = None) -> int:
-    """The value of a term; its variables must all be bound by env."""
-    env = dict(env) if env else {}
-    fn, free = _Planes(alg).term(t, None)
-    _check_bound(free, env)
-    return fn(env)
-
-
 def term_planes(t: Term, alg: Algebra) -> list[int]:
     """The k planes of a term in the one variable x: bit e of plane[a]
     is set iff atom a is in the term's value at x = e.  Raises
@@ -461,11 +453,6 @@ def build_phi_k(k: int) -> Formula:
 def cardinality_sentence(k: int) -> Formula:
     """Sentence true in a complex algebra iff it has at least k atoms."""
     return Exists("x", build_phi_k(k))
-
-
-def count_atoms_oracle(alg: Algebra, k: int) -> bool:
-    """Independent popcount oracle for the cardinality sentence."""
-    return any(bin(x).count("1") >= k for x in range(alg.size))
 
 
 # --- textual syntax ------------------------------------------------------------

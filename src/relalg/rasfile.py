@@ -5,16 +5,16 @@ atom names (their order fixes the index order), `[identity]` the
 identity atoms, `[converse]` one `a b` pair per line (unlisted atoms
 are self-converse) and `[forbidden]` one `a b c` triple per line.  The
 forbidden section may list only generators: the loader closes it under
-the six Peircean transforms before complementing to the consistent
-set.  `#` starts a comment anywhere.  Loading validates the structure
-and raises on any violation.
+the six Peircean transforms into a table of forbidden masks and
+complements each cell to the structure's consistent-third masks.  `#`
+starts a comment anywhere.  Loading validates the structure and raises
+on any violation.  Writing walks the forbidden bits of the table in
+(a, b, c) order and lists the first member of each Peircean orbit.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
-from .atoms import MAX_ATOMS, AtomStructure, make_structure, peircean_transforms
+from .atoms import MAX_ATOMS, AtomStructure, bits, make_structure, peircean_transforms
 
 SECTIONS = ("atoms", "identity", "converse", "forbidden")
 
@@ -78,7 +78,11 @@ def dumps(st: AtomStructure) -> str:
 
     The forbidden section holds one triple per Peircean orbit, the first
     in (a, b, c) order; the loader's closure under the transforms gives
-    back every other member, so the round trip is exact.
+    back every other member, so the round trip is exact.  The walk keeps
+    a table of covered masks: a cell's forbidden bits not yet covered
+    are visited in order, and a line is written for each one that is
+    still uncovered when it is reached, since its own orbit may cover a
+    later bit of the same cell.
     """
     lines = ["[atoms]", " ".join(st.names), "", "[identity]"]
     lines.extend(st.names[a] for a in sorted(st.identity))
@@ -88,11 +92,16 @@ def dumps(st: AtomStructure) -> str:
         lines.append(f"{st.names[a]} {st.names[b]}")
     lines.append("")
     lines.append("[forbidden]")
-    covered: set = set()
-    for t in product(range(st.n_atoms), repeat=3):
-        if t not in st.consistent and t not in covered:
-            covered.update(peircean_transforms(t, st.conv))
-            lines.append(" ".join(st.names[a] for a in t))
+    k, names = st.n_atoms, st.names
+    full = (1 << k) - 1
+    covered = [[0] * k for _ in range(k)]
+    for a, row in enumerate(st.comp):
+        for b, m in enumerate(row):
+            for c in bits(full & ~m & ~covered[a][b]):
+                if not covered[a][b] >> c & 1:
+                    for u, v, w in peircean_transforms((a, b, c), st.conv):
+                        covered[u][v] |= 1 << w
+                    lines.append(f"{names[a]} {names[b]} {names[c]}")
     return "\n".join(lines) + "\n"
 
 

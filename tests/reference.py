@@ -1,0 +1,117 @@
+"""Test-local reference implementations, kept apart from the package.
+
+* The triple-set pipeline: atom structures as a ``frozenset`` of
+  consistent (a, b, c) triples, built, closed and written the plain way.
+  The package stores the same relation as a k x k table of masks; the
+  cross-check tests compare the two.
+* Helpers that turn a triple set into a structure, for tests that edit
+  the consistent set triple by triple.
+* Oracles for the logic tests: a term's value and the cardinality
+  sentence's truth.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from itertools import product
+from typing import Optional
+
+from relalg.algebra import Algebra
+from relalg.atoms import AtomStructure, peircean_transforms
+from relalg.logic import Term, _check_bound, _Planes
+
+# --- triple sets and mask tables ---------------------------------------------
+
+
+def comp_table(consistent, k: int) -> tuple[tuple[int, ...], ...]:
+    """The k x k table of a triple set: bit c of cell (a, b) is set iff
+    (a, b, c) is in the set."""
+    comp = [[0] * k for _ in range(k)]
+    for a, b, c in consistent:
+        comp[a][b] |= 1 << c
+    return tuple(map(tuple, comp))
+
+
+def from_triples(names, identity, conv, consistent) -> AtomStructure:
+    """A structure whose consistent triples are exactly ``consistent``."""
+    return AtomStructure(names=tuple(names), identity=frozenset(identity),
+                         conv=tuple(conv), comp=comp_table(consistent, len(names)))
+
+
+def with_consistent(base: AtomStructure, consistent) -> AtomStructure:
+    """``base`` with its consistent triples replaced by ``consistent``."""
+    return replace(base, comp=comp_table(consistent, base.n_atoms))
+
+
+# --- the triple-set pipeline -------------------------------------------------
+
+
+def close_under_transforms(triples, conv) -> set:
+    """The union of the triples' Peircean orbits, each built from the
+    first of its members met."""
+    out: set = set()
+    for t in triples:
+        if t not in out:
+            out.update(peircean_transforms(t, conv))
+    return out
+
+
+def six_transform_closure(triples, conv) -> set:
+    """Apply all six transforms to every triple until nothing new appears."""
+    out, pending = set(), list(triples)
+    while pending:
+        t = pending.pop()
+        if t not in out:
+            out.add(t)
+            pending.extend(peircean_transforms(t, conv))
+    return out
+
+
+def triple_make_structure(names, identity, converse_pairs, forbidden):
+    """make_structure on triple sets: (names, identity, conv, consistent)."""
+    names = tuple(names)
+    index = {nm: i for i, nm in enumerate(names)}
+    conv = list(range(len(names)))
+    for a, b in converse_pairs:
+        conv[index[a]] = index[b]
+        conv[index[b]] = index[a]
+    forb = close_under_transforms(
+        [(index[a], index[b], index[c]) for a, b, c in forbidden], conv)
+    consistent = frozenset(
+        t for t in product(range(len(names)), repeat=3) if t not in forb)
+    return names, frozenset(index[nm] for nm in identity), tuple(conv), consistent
+
+
+def triple_dumps(names, identity, conv, consistent) -> str:
+    """rasfile.dumps on a triple set: the first member of each forbidden
+    orbit, in (a, b, c) order."""
+    lines = ["[atoms]", " ".join(names), "", "[identity]"]
+    lines.extend(names[a] for a in sorted(identity))
+    lines.append("")
+    lines.append("[converse]")
+    for a, b in sorted((a, b) for a, b in enumerate(conv) if a < b):
+        lines.append(f"{names[a]} {names[b]}")
+    lines.append("")
+    lines.append("[forbidden]")
+    covered: set = set()
+    for t in product(range(len(names)), repeat=3):
+        if t not in consistent and t not in covered:
+            covered.update(peircean_transforms(t, conv))
+            lines.append(" ".join(names[a] for a in t))
+    return "\n".join(lines) + "\n"
+
+
+# --- logic oracles -----------------------------------------------------------
+
+
+def eval_term(t: Term, alg: Algebra, env: Optional[dict] = None) -> int:
+    """The value of a term; its variables must all be bound by env."""
+    env = dict(env) if env else {}
+    fn, free = _Planes(alg).term(t, None)
+    _check_bound(free, env)
+    return fn(env)
+
+
+def count_atoms_oracle(alg: Algebra, k: int) -> bool:
+    """Independent popcount oracle for the cardinality sentence."""
+    return any(bin(x).count("1") >= k for x in range(alg.size))

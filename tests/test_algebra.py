@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relalg.algebra import Algebra, Element, bits, check_axioms
-from relalg.atoms import AtomStructure, make_structure, peircean_transforms
+from relalg.atoms import make_structure, peircean_transforms
 from relalg.rainbow import Rainbow, build_rainbow
+from reference import with_consistent
 from test_atoms import six_transform_validate
 from test_logic import S3, TINY
 
@@ -88,12 +89,7 @@ def test_check_axioms_flags_broken_closure():
     base = build_rainbow(2, 2)
     rbw = Rainbow(2, 2, base)
     victim = (rbw.green(0), rbw.green(1), 1)  # (g0, g1, b), transforms kept
-    broken = AtomStructure(
-        names=base.names,
-        identity=base.identity,
-        conv=base.conv,
-        consistent=base.consistent - {victim},
-    )
+    broken = with_consistent(base, base.consistent - {victim})
     problems = check_axioms(broken)
     assert any("peircean" in p.lower() or "closure" in p.lower() for p in problems)
 
@@ -149,8 +145,8 @@ def orbit_mutants(base, rng, n):
     for i in range(n):
         t = rng.choice(consistent if i % 2 else forbidden)
         orbit = set(peircean_transforms(t, base.conv))
-        out.append(replace(base, consistent=base.consistent ^ orbit))
-    out.append(replace(base, consistent=base.consistent - {rng.choice(consistent)}))
+        out.append(with_consistent(base, base.consistent ^ orbit))
+    out.append(with_consistent(base, base.consistent - {rng.choice(consistent)}))
     return out
 
 

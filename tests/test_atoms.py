@@ -1,18 +1,18 @@
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from relalg.atoms import (
     MAX_ATOMS,
-    AtomStructure,
     UnknownAtomError,
-    close_under_transforms,
     make_structure,
     peircean_transforms,
 )
 from relalg.rainbow import Rainbow, build_rainbow
+from reference import comp_table, from_triples, six_transform_closure, with_consistent
 
 
 def tiny():
@@ -66,24 +66,30 @@ def test_transforms_idempotent_as_set(data):
     assert once == twice
 
 
+def structure_on(conv, identity, triples):
+    """make_structure over atoms a0.. with the given converse, identity
+    atoms and forbidden generators, all as atom ids."""
+    names = [f"a{i}" for i in range(len(conv))]
+    return make_structure(
+        names, [names[e] for e in identity],
+        [(names[a], names[conv[a]]) for a in range(len(conv)) if a < conv[a]],
+        [tuple(names[x] for x in t) for t in triples],
+    )
+
+
+def forbidden_of(st_):
+    return set(product(range(st_.n_atoms), repeat=3)) - st_.consistent
+
+
 @settings(max_examples=50)
 @given(involution_and_triple())
 def test_closure_is_union_of_orbits(data):
+    """One generator forbids exactly its orbit, and closing the orbit
+    again forbids nothing more."""
     conv, t = data
-    closed = close_under_transforms([t], conv)
+    closed = forbidden_of(structure_on(conv, [], [t]))
     assert closed == set(peircean_transforms(t, conv))
-    assert close_under_transforms(closed, conv) == closed
-
-
-def six_transform_closure(triples, conv):
-    """Apply all six transforms to every triple until nothing new appears."""
-    out, pending = set(), list(triples)
-    while pending:
-        t = pending.pop()
-        if t not in out:
-            out.add(t)
-            pending.extend(peircean_transforms(t, conv))
-    return out
+    assert forbidden_of(structure_on(conv, [], sorted(closed))) == closed
 
 
 def random_involution(rng, k):
@@ -105,9 +111,37 @@ def test_closure_matches_six_transform_closure():
         swapped += conv != tuple(range(k))
         triples = [tuple(rng.randrange(k) for _ in range(3))
                    for _ in range(rng.randrange(3 * k))]
-        assert close_under_transforms(triples, conv) == six_transform_closure(
+        assert forbidden_of(structure_on(conv, [], triples)) == six_transform_closure(
             triples, conv)
     assert swapped > 100
+
+
+@st.composite
+def small_structures(draw):
+    """A converse involution, identity atoms and forbidden generators on
+    up to 6 atoms."""
+    conv, _ = draw(involution_and_triple())
+    k = len(conv)
+    identity = draw(st.sets(st.integers(0, k - 1), max_size=2))
+    atom = st.integers(0, k - 1)
+    triples = draw(st.lists(st.tuples(atom, atom, atom), max_size=4 * k))
+    return conv, sorted(identity), triples
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_structures())
+def test_table_is_complement_of_six_transform_closure(data):
+    """The table make_structure builds is, cell by cell, the complement
+    of the generators' closure under all six transforms."""
+    conv, identity, triples = data
+    st_ = structure_on(conv, identity, triples)
+    k = len(conv)
+    consistent = set(product(range(k), repeat=3)) - six_transform_closure(triples, conv)
+    assert st_.comp == comp_table(consistent, k)
+    assert st_.consistent == consistent
+    assert st_.conv == conv and st_.identity == frozenset(identity)
+    assert all(st_.is_consistent(t) == (t in consistent)
+               for t in product(range(k), repeat=3))
 
 
 # --- structure construction --------------------------------------------------
@@ -135,12 +169,7 @@ def test_validate_ok_structures():
 
 
 def test_validate_catches_broken_involution():
-    st_ = AtomStructure(
-        names=("1'", "a", "b"),
-        identity=frozenset([0]),
-        conv=(0, 2, 0),  # not an involution
-        consistent=frozenset(),
-    )
+    st_ = from_triples(("1'", "a", "b"), [0], (0, 2, 0), [])  # not an involution
     assert any("involution" in p for p in st_.validate())
 
 
@@ -148,12 +177,7 @@ def test_validate_catches_transform_leak():
     base = tiny()
     # drop one triple but keep its transforms: closure is broken
     victim = (1, 1, 0)
-    leaky = AtomStructure(
-        names=base.names,
-        identity=base.identity,
-        conv=base.conv,
-        consistent=base.consistent - {victim},
-    )
+    leaky = with_consistent(base, base.consistent - {victim})
     assert leaky.validate() != []
 
 
@@ -199,12 +223,8 @@ def generator_closed_leak():
     (a,b,c) -> (a~,c,b) and (a,b,c) -> (b~,a~,c~) but not under all six
     transforms: (a, 1', 1') is consistent and its transform
     (c, b~, a) = (1', 1', a) is not."""
-    return AtomStructure(
-        names=("1'", "a", "b"),
-        identity=frozenset([0]),
-        conv=(0, 2, 2),
-        consistent=frozenset([(0, 0, 2), (0, 2, 0), (1, 0, 0), (2, 0, 0)]),
-    )
+    return from_triples(("1'", "a", "b"), [0], (0, 2, 2),
+                        [(0, 0, 2), (0, 2, 0), (1, 0, 0), (2, 0, 0)])
 
 
 def unclosed_structures():
@@ -214,13 +234,13 @@ def unclosed_structures():
     b22 = build_rainbow(2, 2)
     rb = Rainbow(2, 2, b22)
     victim = (rb.green(0), rb.green(1), 1)  # (g0, g1, b), transforms kept
-    out = [replace(b22, consistent=b22.consistent - {victim})]
+    out = [with_consistent(b22, b22.consistent - {victim})]
     rng = random.Random(4)
     for base in (tiny(), asym(), b22, build_rainbow(3, 2)):
         k = base.n_atoms
         for _ in range(6):
             t = tuple(rng.randrange(k) for _ in range(3))
-            out.append(replace(base, consistent=base.consistent ^ {t}))
+            out.append(with_consistent(base, base.consistent ^ {t}))
     out.append(replace(asym(), conv=(0, 2, 2)))
     out.append(replace(b22, conv=(1,) + b22.conv[1:]))
     out.append(generator_closed_leak())
@@ -234,6 +254,14 @@ def test_validate_matches_six_transform_loop():
     leaks = [st_ for st_ in cases
              if any(p.startswith("Peircean") for p in st_.validate())]
     assert len(leaks) >= 20 and cases[0] in leaks and cases[-1] in leaks
+
+
+def test_validate_rejects_malformed_tables():
+    base = tiny()
+    for comp in ((base.comp[0],), (base.comp[0], base.comp[1][:1]),
+                 (base.comp[0], (base.comp[1][0], 4))):
+        assert replace(base, comp=comp).validate() == [
+            "composition table is not 2 x 2 masks of 2 bits"]
 
 
 def test_unknown_atom_errors():
@@ -258,12 +286,7 @@ def test_renamed_copy_has_its_own_index():
 def test_atom_cap_enforced():
     names = [f"a{i}" for i in range(MAX_ATOMS + 1)]
     with pytest.raises(ValueError):
-        AtomStructure(
-            names=tuple(names),
-            identity=frozenset([0]),
-            conv=tuple(range(len(names))),
-            consistent=frozenset(),
-        )
+        from_triples(names, [0], range(len(names)), [])
 
 
 def test_identity_coherence_flagged():

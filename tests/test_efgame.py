@@ -409,14 +409,20 @@ def _memo_free_verdict(alg_a, alg_b, strategy, n, mode="exhaustive",
         ctx = strategy.start(n)
         pos = EFPosition(alg_a, alg_b)
         for i, (side, elem) in enumerate(moves):
-            resp = strategy.respond(ctx, side, elem)
-            pos = pos.extended(*((elem, resp) if side == "A" else (resp, elem)))
-            if not position_winner(pos).exists_ok:
+            try:
+                resp = strategy.respond(ctx, side, elem)
+            except SeuratStrategyFailure as exc:
+                failed = (f"round {i} | forall: side={side} elem={elem:#x}"
+                          f" | exists: strategy failure: {exc}")
+            else:
+                failed = None
+                pos = pos.extended(*((elem, resp) if side == "A" else (resp, elem)))
+            if failed or not position_winner(pos).exists_ok:
                 lost = [
                     efgame._round_line(j, s, e, b if s == "A" else a,
                                        "ok" if j < i else "forall wins")
                     for j, ((s, e), (a, b)) in enumerate(zip(moves, pos.pairs))
-                ]
+                ] + [failed] * bool(failed)
                 return Verdict("counterexample", lost, plays=plays,
                                reason=f"strategy reached a losing position in play {plays}")
     return Verdict("verified" if mode == "exhaustive" else "verified-sampled",
@@ -452,20 +458,24 @@ def test_position_classes_change_no_verdict(monkeypatch, s_a, s_b, t, n, kw):
         return position_winner(pos)
 
     def outcome(verify):
-        """The Verdict fields but ``states``, or the strategy's failure
-        where it raises one: both loops let it escape alike."""
-        try:
-            v = verify(alg_a, alg_b, Prop44Strategy(rb_a, rb_b), n, **kw)
-        except SeuratStrategyFailure as exc:
-            return "raised", str(exc)
+        v = verify(alg_a, alg_b, Prop44Strategy(rb_a, rb_b), n, **kw)
         return v.status, v.reason, v.plays, v.transcript, v
 
     want = outcome(_memo_free_verdict)
     monkeypatch.setattr(efgame, "position_winner", counted)
     got = outcome(verify_ef_strategy)
     assert got[:4] == want[:4]
-    if got[0] != "raised":
-        assert got[4].states == len(calls) <= n * got[4].plays
+    assert got[4].states == len(calls) <= n * got[4].plays
+    failures = [line for line in got[3] if "strategy failure" in line]
+    # B(2,2)/B(3,2) at n = 2: the reply at seed 0 (round 0) and seed 2
+    # (round 1) of play 2 needs more greens than the cell has
+    failure = {0: "palette 0: need 3 of 2 points", 2: "palette 0: need 1 of 0 points"}
+    if (s_a, s_b, t, n) == (2, 3, 2, 2) and kw["seed"] in failure:
+        assert got[:3:2] == ("counterexample", 2)
+        assert failures == got[3][-1:]
+        assert failures[0].endswith(f"| exists: strategy failure: {failure[kw['seed']]}")
+    else:
+        assert failures == []
 
 
 def test_position_class_counts():

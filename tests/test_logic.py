@@ -26,8 +26,6 @@ from relalg.logic import (
     Var,
     build_phi_k,
     cardinality_sentence,
-    count_atoms_oracle,
-    eval_term,
     evaluate,
     leq,
     lt,
@@ -37,6 +35,7 @@ from relalg.logic import (
     term_planes,
 )
 from relalg.verdict import BudgetExhausted
+from reference import count_atoms_oracle, eval_term
 
 TINY = Algebra(make_structure(["1'", "d"], ["1'"], [], [("1'", "1'", "d")]))
 ALG22 = Algebra(Rainbow.make(2, 2).structure)

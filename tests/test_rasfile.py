@@ -8,7 +8,9 @@ from hypothesis import strategies as hs
 
 from relalg import build_rainbow
 from relalg.atoms import make_structure, peircean_transforms
+from relalg.rainbow import atom_names, forbidden_generators
 from relalg.rasfile import RasFormatError, dump, dumps, load, loads
+from reference import comp_table, triple_dumps, triple_make_structure
 
 
 def test_round_trip_rainbows():
@@ -101,6 +103,24 @@ def test_dumps_lists_full_forbidden_set():
         assert loads(text) == st
 
 
+@pytest.mark.parametrize(
+    "s,t", [(s, t) for s in range(1, 5) for t in range(1, 5)] + [(8, 7)])
+def test_mask_pipeline_matches_triple_sets(s, t):
+    """build_rainbow and dumps give the table and the text that the
+    triple-set pipeline gives, byte for byte, and the text reads back
+    as the same structure."""
+    names, identity, conv, consistent = triple_make_structure(
+        atom_names(s, t), ["1'"],
+        [(f"r{j}_{j2}", f"r{j2}_{j}") for j in range(t) for j2 in range(j + 1, t)],
+        forbidden_generators(s, t))
+    st = build_rainbow(s, t)
+    assert (st.names, st.identity, st.conv) == (names, identity, conv)
+    assert st.comp == comp_table(consistent, len(names))
+    text = dumps(st)
+    assert text == triple_dumps(names, identity, conv, consistent)
+    assert loads(text) == st
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     extra=hs.integers(0, 3),
@@ -120,6 +140,7 @@ def test_round_trip_random_structures(extra, forbid_mask):
         if forbid_mask >> i & 1:
             gens.append(tri)
     st = make_structure(names, ["1'"], [], gens)
+    assert dumps(st) == triple_dumps(st.names, st.identity, st.conv, st.consistent)
     if st.validate():
         return  # some random forbidden sets break coherence; skip those
     assert loads(dumps(st)) == st
