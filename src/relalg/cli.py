@@ -68,8 +68,16 @@ def _finish(res, verified_line: str) -> int:
 
 
 def cmd_rainbow(args) -> int:
-    st = build_rainbow(args.s, args.t)
-    rasfile.dump(st, args.out)
+    try:
+        st = build_rainbow(args.s, args.t)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return USAGE
+    try:
+        rasfile.dump(st, args.out)
+    except OSError as exc:
+        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+        return USAGE
     print(f"wrote {st.n_atoms}-atom structure to {args.out}")
     return OK
 

@@ -2,17 +2,49 @@
 
 Atoms are 1', b (black), w (white), y (yellow), greens g0..g(s-1) and
 reds rj_j' for j, j' < t.  All atoms are self-converse except the reds,
-where the converse of rj_j' is rj'_j.  The forbidden triples are the
-Peircean closure of five generator families; everything else is
-consistent.
+where the converse of rj_j' is rj'_j.  The paper defines the forbidden
+triples as the Peircean closure of five generator families:
+
+(I)   (1', a, b) for a != b;
+(II)  (g, g', g'') and (g, g', w) for all greens;
+(III) (y, y, y) and (y, y, b);
+(IV)  (r_j1j2, r_j2'j3', r_j1*j3*) unless j1 = j1*, j2 = j2', j3' = j3*;
+(V)   (g_i, g_i, r) for every red r, and (g_i, g_i', r_jj) for all i, i'.
+
+Everything else is consistent.  The closure of a generator is its orbit
+under the six transforms of :func:`~relalg.atoms.peircean_transforms`,
+so each family's closure can be written as a rule on colours and red
+indices, which is how :func:`build_rainbow` writes the table:
+
+1. From (I): row 1' is {b} in column b, column 1' is {a} in row a, and
+   1' is in a;b iff b = a~.  The orbit of (1', a, b) is (1', a, b),
+   (1', b, a), (b, a~, 1'), (a, b~, 1'), (b~, 1', a~), (a~, 1', b~); with
+   a != b these are exactly the triples that break the three rules, and
+   no other family mentions 1'.
+2. From (II): two greens and a third green or w are never consistent,
+   in any order.  Greens and w are self-converse, so the transforms of
+   such a triple are its six permutations.
+3. From (V): two greens and a red are inconsistent iff the greens are
+   equal or the red is diagonal, in any order.  The transforms permute
+   the three places and may replace the red r_jj' by its converse r_j'j,
+   which is diagonal iff r_jj' is; equal greens stay equal.
+4. From (III): two y's and a third y or b are never consistent, in any
+   order, as y and b are self-converse.
+5. From (IV): r_j1j2 ; r_j2'j3 holds no red except r_j1j3, and that one
+   only when j2 = j2'.  Family IV already lists every red triple outside
+   the set {(r_xy, r_yz, r_xz)}, and that set is closed: g1 sends
+   (r_xy, r_yz, r_xz) to (r_yx, r_xz, r_yz) and g2 to (r_zy, r_yx, r_zx),
+   both of the same shape, so its complement among red triples is too.
+
+The forbidden triples are the union of the five rules, so a cell's
+forbidden mask is the union of the rules that speak about its two atoms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .atoms import AtomStructure, make_structure
+from .atoms import MAX_ATOMS, AtomStructure
 
 # the fixed atom layout: 1', b, w, y, then the greens, then the reds
 ID, BLACK, WHITE, YELLOW = 0, 1, 2, 3
@@ -26,51 +58,59 @@ def atom_names(s: int, t: int) -> list[str]:
     return names
 
 
-def forbidden_generators(s: int, t: int) -> list[tuple[str, str, str]]:
-    """The five generator families of forbidden triples."""
-    g = [f"g{i}" for i in range(s)]
-    r = {(j, j2): f"r{j}_{j2}" for j in range(t) for j2 in range(t)}
-    names = atom_names(s, t)
-    forb: list[tuple[str, str, str]] = []
-    # (I) identity mismatches
-    for a in names:
-        for b in names:
-            if a != b:
-                forb.append(("1'", a, b))
-    # (II) green;green is never green or white
-    for gi, gi2 in product(g, repeat=2):
-        for gi3 in g:
-            forb.append((gi, gi2, gi3))
-        forb.append((gi, gi2, "w"))
-    # (III) yellow;yellow is never yellow or black
-    forb.append(("y", "y", "y"))
-    forb.append(("y", "y", "b"))
-    # (IV) red composition is rigid: (r_j1_j2 ; r_j2_j3) >= r_j1_j3 only
-    for j1, j2, j2p, j3p, j1s, j3s in product(range(t), repeat=6):
-        if not (j1 == j1s and j2 == j2p and j3p == j3s):
-            forb.append((r[j1, j2], r[j2p, j3p], r[j1s, j3s]))
-    # (V) greens meeting a red need distinct green and red indices
-    for i in range(s):
-        for j, j2 in product(range(t), repeat=2):
-            forb.append((g[i], g[i], r[j, j2]))
-    for i, i2 in product(range(s), repeat=2):
-        for j in range(t):
-            forb.append((g[i], g[i2], r[j, j]))
-    return forb
-
-
 def build_rainbow(s: int, t: int) -> AtomStructure:
-    """Construct the rainbow atom structure with s greens and t*t reds."""
+    """Construct the rainbow atom structure with s greens and t*t reds.
+
+    The table is written cell by cell from the closed-form rules of the
+    module docstring, each a mask on the two atoms' colours and red
+    indices: a cell's forbidden mask comes from rules 2-5, and rule 1
+    fixes the 1' row, the 1' column and the 1' bit of every other cell.
+    The result equals ``make_structure`` on the five generator families.
+    Raises ValueError if s or t is below 1 or the structure would have
+    more than MAX_ATOMS atoms; both are checked before any table work.
+    """
     if s < 1 or t < 1:
         raise ValueError("rainbow parameters must be >= 1")
-    return make_structure(
-        names=atom_names(s, t),
-        identity=["1'"],
-        converse_pairs=[
-            (f"r{j}_{j2}", f"r{j2}_{j}") for j in range(t) for j2 in range(j + 1, t)
-        ],
-        forbidden=forbidden_generators(s, t),
-    )
+    red0 = GREEN0 + s
+    k = red0 + t * t
+    if k > MAX_ATOMS:
+        raise ValueError(f"too many atoms ({k} > {MAX_ATOMS})")
+    conv = tuple(range(red0)) + tuple(
+        red0 + j2 * t + j for j in range(t) for j2 in range(t))
+    full = (1 << k) - 1
+    greens = ((1 << s) - 1) << GREEN0
+    reds = full ^ ((1 << red0) - 1)
+    diag = sum(1 << red0 + j * (t + 1) for j in range(t))
+    forb = [[0] * k for _ in range(k)]
+    # rule 4
+    forb[YELLOW][YELLOW] = 1 << YELLOW | 1 << BLACK
+    forb[YELLOW][BLACK] = forb[BLACK][YELLOW] = 1 << YELLOW
+    for g in range(GREEN0, red0):
+        # rules 2 and 3 on green;green, rule 2 on green;w and w;green
+        for g2 in range(GREEN0, red0):
+            forb[g][g2] = greens | 1 << WHITE | (reds if g == g2 else diag)
+        forb[g][WHITE] = forb[WHITE][g] = greens
+        # rule 3 on green;red and red;green
+        for r in range(red0, k):
+            forb[g][r] = forb[r][g] = greens if diag >> r & 1 else 1 << g
+    # rule 5: row r_j1j2 of the red block, one red allowed per block of t
+    for j1 in range(t):
+        for j2 in range(t):
+            row = forb[red0 + j1 * t + j2]
+            for j3 in range(t):
+                for j2p in range(t):
+                    row[red0 + j2p * t + j3] = reds
+                row[red0 + j2 * t + j3] ^= 1 << red0 + j1 * t + j3
+    # rule 1, and the complement of every other cell
+    plain = full ^ 1 << ID
+    comp = [tuple(1 << b for b in range(k))]
+    for a in range(1, k):
+        row = [plain ^ m for m in forb[a]]
+        row[ID] = 1 << a
+        row[conv[a]] |= 1 << ID
+        comp.append(tuple(row))
+    return AtomStructure(names=tuple(atom_names(s, t)), identity=frozenset({ID}),
+                         conv=conv, comp=tuple(comp))
 
 
 def predicted_representable(s: int, t: int) -> bool:

@@ -8,13 +8,14 @@ forbidden section may list only generators: the loader closes it under
 the six Peircean transforms into a table of forbidden masks and
 complements each cell to the structure's consistent-third masks.  `#`
 starts a comment anywhere.  Loading validates the structure and raises
-on any violation.  Writing walks the forbidden bits of the table in
-(a, b, c) order and lists the first member of each Peircean orbit.
+on any violation.  Writing lists the first member, in (a, b, c) order,
+of each Peircean orbit of forbidden triples, picked cell by cell with
+mask tests.
 """
 
 from __future__ import annotations
 
-from .atoms import MAX_ATOMS, AtomStructure, bits, make_structure, peircean_transforms
+from .atoms import MAX_ATOMS, AtomStructure, bits, make_structure
 
 SECTIONS = ("atoms", "identity", "converse", "forbidden")
 
@@ -78,11 +79,28 @@ def dumps(st: AtomStructure) -> str:
 
     The forbidden section holds one triple per Peircean orbit, the first
     in (a, b, c) order; the loader's closure under the transforms gives
-    back every other member, so the round trip is exact.  The walk keeps
-    a table of covered masks: a cell's forbidden bits not yet covered
-    are visited in order, and a line is written for each one that is
-    still uncovered when it is reached, since its own orbit may cover a
-    later bit of the same cell.
+    back every other member, so the round trip is exact.
+
+    Precondition: conv is an involution and the table is Peircean
+    closed, as every result of ``make_structure`` with an involutive
+    conv or of :func:`loads` is.  Then a forbidden triple's orbit is
+    the set of its six transforms, all forbidden, and the triple is the
+    orbit's first member iff it is lexicographically <= each of its five
+    other transforms.  Only such a table round-trips.  For a forbidden
+    c of cell (a, b), the five conditions are masks over c:
+
+    * (a, b, c) <= (a~, c, b):   all if a < a~, none if a > a~, else c >= b;
+    * (a, b, c) <= (c, b~, a):   c > a, or c = a if b <= b~;
+    * (a, b, c) <= (b, c~, a~):  all if a < b, none if a > b, else c~ >= b;
+    * (a, b, c) <= (c~, a, b~):  c~ > a, or c~ = a if b <= a;
+    * (a, b, c) <= (b~, a~, c~): all if a < b~, none if a > b~, else c <= c~.
+
+    A tie in the first places fixes the rest: in the second condition,
+    c = a makes the last places a and c equal, so b <= b~ decides; in
+    the third, a = b and c~ = b make them c = b~ = a~.  Each condition
+    is an O(1) mask from tables of "c >= x" and "c~ >= x" built once
+    per call.  The first, third and fifth hold for no c when a > a~,
+    a > b or a > b~, so those rows and cells are skipped.
     """
     lines = ["[atoms]", " ".join(st.names), "", "[identity]"]
     lines.extend(st.names[a] for a in sorted(st.identity))
@@ -92,16 +110,33 @@ def dumps(st: AtomStructure) -> str:
         lines.append(f"{st.names[a]} {st.names[b]}")
     lines.append("")
     lines.append("[forbidden]")
-    k, names = st.n_atoms, st.names
+    k, names, conv = st.n_atoms, st.names, st.conv
     full = (1 << k) - 1
-    covered = [[0] * k for _ in range(k)]
+    ge = [full ^ ((1 << x) - 1) for x in range(k + 1)]  # c >= x
+    cge = [0] * (k + 1)  # c~ >= x; c~ = x iff c = x~
+    for x in reversed(range(k)):
+        cge[x] = cge[x + 1] | 1 << conv[x]
+    self_first = sum(1 << c for c in range(k) if c <= conv[c])  # c <= c~
     for a, row in enumerate(st.comp):
-        for b, m in enumerate(row):
-            for c in bits(full & ~m & ~covered[a][b]):
-                if not covered[a][b] >> c & 1:
-                    for u, v, w in peircean_transforms((a, b, c), st.conv):
-                        covered[u][v] |= 1 << w
-                    lines.append(f"{names[a]} {names[b]} {names[c]}")
+        ca = conv[a]
+        if a > ca:
+            continue
+        for b in range(a, k):
+            cb = conv[b]
+            if a > cb:
+                continue
+            m = full ^ row[b]
+            if a == ca:
+                m &= ge[b]
+            m &= ge[a + 1] | (1 << a if b <= cb else 0)
+            if a == b:
+                m &= cge[b]
+            m &= cge[a + 1] | (1 << ca if b <= a else 0)
+            if a == cb:
+                m &= self_first
+            if m:
+                prefix = f"{names[a]} {names[b]} "
+                lines.extend(prefix + names[c] for c in bits(m))
     return "\n".join(lines) + "\n"
 
 

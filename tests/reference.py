@@ -6,6 +6,9 @@
   cross-check tests compare the two.
 * Helpers that turn a triple set into a structure, for tests that edit
   the consistent set triple by triple.
+* The paper's definition of the rainbow structures: the five generator
+  families of forbidden triples, which ``build_rainbow`` writes in
+  closed form.
 * Oracles for the logic tests: a term's value and the cardinality
   sentence's truth.
 """
@@ -19,6 +22,7 @@ from typing import Optional
 from relalg.algebra import Algebra
 from relalg.atoms import AtomStructure, peircean_transforms
 from relalg.logic import Term, _check_bound, _Planes
+from relalg.rainbow import atom_names
 
 # --- triple sets and mask tables ---------------------------------------------
 
@@ -99,6 +103,42 @@ def triple_dumps(names, identity, conv, consistent) -> str:
             covered.update(peircean_transforms(t, conv))
             lines.append(" ".join(names[a] for a in t))
     return "\n".join(lines) + "\n"
+
+
+# --- the rainbow generators --------------------------------------------------
+
+
+def forbidden_generators(s: int, t: int) -> list[tuple[str, str, str]]:
+    """The five generator families of forbidden triples of B(s, t)."""
+    g = [f"g{i}" for i in range(s)]
+    r = {(j, j2): f"r{j}_{j2}" for j in range(t) for j2 in range(t)}
+    names = atom_names(s, t)
+    forb: list[tuple[str, str, str]] = []
+    # (I) identity mismatches
+    for a in names:
+        for b in names:
+            if a != b:
+                forb.append(("1'", a, b))
+    # (II) green;green is never green or white
+    for gi, gi2 in product(g, repeat=2):
+        for gi3 in g:
+            forb.append((gi, gi2, gi3))
+        forb.append((gi, gi2, "w"))
+    # (III) yellow;yellow is never yellow or black
+    forb.append(("y", "y", "y"))
+    forb.append(("y", "y", "b"))
+    # (IV) red composition is rigid: (r_j1_j2 ; r_j2_j3) >= r_j1_j3 only
+    for j1, j2, j2p, j3p, j1s, j3s in product(range(t), repeat=6):
+        if not (j1 == j1s and j2 == j2p and j3p == j3s):
+            forb.append((r[j1, j2], r[j2p, j3p], r[j1s, j3s]))
+    # (V) greens meeting a red need distinct green and red indices
+    for i in range(s):
+        for j, j2 in product(range(t), repeat=2):
+            forb.append((g[i], g[i], r[j, j2]))
+    for i, i2 in product(range(s), repeat=2):
+        for j in range(t):
+            forb.append((g[i], g[i2], r[j, j]))
+    return forb
 
 
 # --- logic oracles -----------------------------------------------------------

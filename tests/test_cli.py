@@ -188,6 +188,10 @@ def _exit_code(argv) -> int:
      "argument --atleast: invalid count 0: must be at least 1"),
     ("rainbow --s 0 --t 2 --out x.ras", USAGE, "err",
      "argument --s: invalid count 0: must be at least 1"),
+    # a structure over 64 atoms, or an unwritable output path
+    ("rainbow --s 8 --t 8 --out x.ras", USAGE, "err", "too many atoms (76 > 64)"),
+    ("rainbow --s 2 --t 2 --out missing/x.ras", USAGE, "err",
+     "cannot write missing/x.ras: "),
     ("seurat-solve --t 4 --t2 4 -n -1", USAGE, "err",
      "argument -n: invalid count -1: must be at least 0"),
     ("netgame b22.ras --rounds -1 --verify-exists", USAGE, "err",

@@ -1,7 +1,7 @@
 import pytest
 
 from relalg.algebra import Algebra
-from relalg.atoms import make_structure
+from relalg.atoms import MAX_ATOMS, make_structure
 from relalg.rainbow import (
     BLACK,
     ID,
@@ -12,6 +12,7 @@ from relalg.rainbow import (
     build_rainbow,
     predicted_representable,
 )
+from reference import forbidden_generators
 
 
 def names_of(alg, mask):
@@ -97,7 +98,7 @@ def test_green_green_red_consistency():
                     assert st.is_consistent(t) == (i != i2 and j != j2)
 
 
-@pytest.mark.parametrize("s,t", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("s,t", [(1, 1), (2, 2), (2, 3), (3, 2), (4, 4)])
 def test_consistent_set_against_rule_oracle(s, t):
     rb = Rainbow.make(s, t)
     st = rb.structure
@@ -108,6 +109,24 @@ def test_consistent_set_against_rule_oracle(s, t):
                 assert st.is_consistent((a, b, c)) != triple_forbidden_oracle(
                     rb, a, b, c
                 ), (st.names[a], st.names[b], st.names[c])
+
+
+@pytest.mark.parametrize("s,t", [(s, t) for s in range(1, 10) for t in range(1, 8)
+                                 if 4 + s + t * t <= MAX_ATOMS])
+def test_closed_form_table_matches_generator_closure(s, t):
+    """build_rainbow's closed-form table is the Peircean closure of the
+    paper's five generator families."""
+    st = build_rainbow(s, t)
+    assert st == make_structure(
+        atom_names(s, t), ["1'"],
+        [(f"r{j}_{j2}", f"r{j2}_{j}") for j in range(t) for j2 in range(j + 1, t)],
+        forbidden_generators(s, t))
+    assert st.validate() == []
+
+
+def test_too_many_atoms_rejected():
+    with pytest.raises(ValueError, match=r"too many atoms \(76 > 64\)"):
+        build_rainbow(8, 8)
 
 
 def test_structures_validate():

@@ -8,9 +8,9 @@ from hypothesis import strategies as hs
 
 from relalg import build_rainbow
 from relalg.atoms import make_structure, peircean_transforms
-from relalg.rainbow import atom_names, forbidden_generators
+from relalg.rainbow import atom_names
 from relalg.rasfile import RasFormatError, dump, dumps, load, loads
-from reference import comp_table, triple_dumps, triple_make_structure
+from reference import comp_table, forbidden_generators, triple_dumps, triple_make_structure
 
 
 def test_round_trip_rainbows():
@@ -144,3 +144,31 @@ def test_round_trip_random_structures(extra, forbid_mask):
     if st.validate():
         return  # some random forbidden sets break coherence; skip those
     assert loads(dumps(st)) == st
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=hs.permutations(["d0", "d1", "p0", "q0", "p1", "q1"]),
+    n_pairs=hs.integers(1, 2),
+    coherent=hs.booleans(),
+    picks=hs.lists(hs.tuples(*[hs.integers(0, 5)] * 3), max_size=8),
+)
+def test_round_trip_structures_with_converse_pairs(order, n_pairs, coherent, picks):
+    """The writer's orbit-first conditions read c~ and b~: structures
+    with converse pairs (p_i, q_i), in any atom order, write the text of
+    the triple-set walk and read back equal."""
+    pairs = [(f"p{i}", f"q{i}") for i in range(n_pairs)]
+    used = {"d0", "d1"}.union(*pairs)
+    names = ["1'"] + [nm for nm in order if nm in used]
+    others = names[1:]
+    if coherent:
+        gens = [("1'", a, b) for a in names for b in names if a != b]
+    else:
+        gens = [("1'", "1'", nm) for nm in others]
+    gens += [tuple(others[i % len(others)] for i in pick) for pick in picks]
+    st = make_structure(names, ["1'"], pairs, gens)
+    assert dumps(st) == triple_dumps(st.names, st.identity, st.conv, st.consistent)
+    problems = st.validate()
+    assert not (coherent and problems)
+    if not problems:
+        assert loads(dumps(st)) == st
