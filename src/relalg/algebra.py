@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import itemgetter, mul, or_
 
-from .atoms import AtomStructure, bits, transpose
+from .atoms import AtomStructure, bits, transposes
 
 
 def _or_rows(table: list[list[int]], atoms: list[int], k: int) -> list[int]:
@@ -275,8 +275,9 @@ def check_axioms(structure: AtomStructure) -> list[str]:
 
     slot = [1 << (c * k) for c in range(k)]
     packed = [sum(map(mul, row, slot)) for row in comp]
-    spread = [[sum(slot[c] for c in bits(col)) for col in transpose(row, k)]
-              for row in comp]  # bit c of transpose(comp[b])[f]: f in b;c
+    # bit c of transposes(comp, k)[b][f]: f in b;c
+    spread = [[sum(slot[c] for c in bits(col)) for col in flipped]
+              for flipped in transposes(comp, k)]
     for a in range(k):
         row = comp[a]
         for b in range(k):

@@ -15,8 +15,12 @@ demand.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from operator import or_
 from typing import Iterable, Sequence
 
 MAX_ATOMS = 64
@@ -36,12 +40,107 @@ def bits(mask: int):
         mask ^= low
 
 
-def transpose(rows: Sequence[int], k: int) -> tuple[int, ...]:
-    """The transposed k x k bit matrix: bit b of ``out[c]`` is bit c of
-    ``rows[b]``.  Each row is written as a bit string with bit 0 first,
-    and the columns are read off with one zip."""
-    strings = [format(m, f"0{k}b")[::-1] for m in rows]
-    return tuple(int("".join(col)[::-1], 2) for col in zip(*strings))
+# array type codes by item width in bits, for packing masks side by side
+_CODES = {array(code).itemsize * 8: code for code in "QIHB"}
+
+
+def _slot_code(k: int) -> str:
+    """The type code of the narrowest array item that holds k bits."""
+    return next(_CODES[w] for w in sorted(_CODES) if w >= k)
+
+
+def _pack(values: Iterable[int], code: str) -> int:
+    """The values side by side in one int: value i in slot i, the bits
+    [i*w, (i+1)*w) for the item width w of ``code``."""
+    slots = array(code, values)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return int.from_bytes(slots.tobytes(), "little")
+
+
+def _unpack(packed: int, code: str, n: int) -> list[int]:
+    """The first n slots of a packed int; the inverse of :func:`_pack`."""
+    slots = array(code)
+    slots.frombytes(packed.to_bytes(n * slots.itemsize, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots.tolist()
+
+
+def _swap_rounds(w: int) -> list[tuple[int, bytes]]:
+    """The rounds of a w x w bit-matrix transpose: per bit j = w/2, ...,
+    2, 1 of the row and column index, the shift from bit c + j of slot
+    r - j to bit c of slot r, and the selected bits of one matrix in
+    packed form: bit c of slot r for each r with bit j set and c with
+    bit j clear."""
+    rounds, j, low = [], w // 2, (1 << w // 2) - 1
+    while j:
+        sel = _pack([low if r & j else 0 for r in range(w)], _CODES[w])
+        rounds.append((j * (w - 1), sel.to_bytes(w * w // 8, "little")))
+        j //= 2
+        low ^= low << j
+    return rounds
+
+
+_SWAP_ROUNDS = {w: _swap_rounds(w) for w in _CODES}
+
+
+def transposes(table: Sequence[Sequence[int]], k: int) -> list[tuple[int, ...]]:
+    """The transpose of each k x k bit matrix in ``table``: bit b of
+    ``out[a][c]`` is bit c of ``table[a][b]``.
+
+    All matrices go into one int, row r of each in a w-bit slot, for the
+    narrowest item width w >= k, each matrix padded with zero rows to w
+    rows.  Transposing swaps row index and column index; it does so one
+    bit j at a time, for j = w/2, ..., 2, 1, and these swaps commute.
+    The swap at j trades bit c of row r for bit c + j of row r - j,
+    for every row r with bit j set and column c with bit j clear, in
+    six big-int operations over all matrices at once."""
+    code = _slot_code(k)
+    w = array(code).itemsize * 8
+    pad = [0] * (w - k)
+    x = _pack(chain.from_iterable(chain(rows, pad) for rows in table), code)
+    for shift, sel in _SWAP_ROUNDS[w]:
+        t = (x << shift ^ x) & int.from_bytes(sel * len(table), "little")
+        x ^= t ^ t >> shift
+    flat = _unpack(x, code, len(table) * w)
+    return [tuple(flat[i:i + k]) for i in range(0, len(flat), w)]
+
+
+def g1_image(rows: Sequence[Sequence[int]], conv: Sequence[int],
+             k: int) -> list[tuple[int, ...]]:
+    """The image of a k x k mask table under g1: (a, b, c) -> (a~, c, b).
+    Row a of the table lands, transposed, on row a~, so row x of the
+    image is the transpose of row x~ when conv is an involution."""
+    flipped = transposes(rows, k)
+    return [flipped[cx] for cx in conv]
+
+
+def converse_images(masks: Iterable[int], conv: Sequence[int]) -> list[int]:
+    """The converse image of each mask, for an involutive conv: bit c~
+    is set iff bit c is.  The masks are packed side by side into one
+    int, and each converse pair (p, q) swaps bits p and q in every slot
+    at once."""
+    pairs = [(p, q) for p, q in enumerate(conv) if p < q]
+    if not pairs:
+        return list(masks)
+    code, masks = _slot_code(len(conv)), list(masks)
+    packed, ones = _pack(masks, code), _pack([1] * len(masks), code)
+    for p, q in pairs:
+        d = (packed >> (q - p) ^ packed) & ones << p
+        packed ^= d | d << (q - p)
+    return _unpack(packed, code, len(masks))
+
+
+def g2_image(rows: Sequence[Sequence[int]],
+             conv: Sequence[int]) -> list[tuple[int, ...]]:
+    """The image of a mask table under g2: (a, b, c) -> (b~, a~, c~).
+    Cell (x, y) of the image is the converse image of cell (y~, x~) when
+    conv is an involution."""
+    k = len(conv)
+    flat = converse_images(chain.from_iterable(rows), conv)
+    cols = list(zip(*[flat[i:i + k] for i in range(0, k * k, k)]))
+    return [tuple(map(cols[cx].__getitem__, conv)) for cx in conv]
 
 
 def peircean_transforms(t: Triple, conv: Sequence[int]) -> list[Triple]:
@@ -134,25 +233,13 @@ class AtomStructure:
 
     def _closed(self) -> bool:
         """Whether the table is closed under g1 and g2, for an
-        involutive conv: g1 maps (a, b, c) to (a~, c, b), so it holds iff
-        ``comp[a~]`` is the transpose of ``comp[a]`` for every a, and g2
-        maps it to (b~, a~, c~), so it holds iff ``comp[b~][a~]`` is the
-        converse image of ``comp[a][b]`` for every a and b.  Each is an
-        equality, not only an inclusion, because the generator is an
-        involution: the inclusion at a~ (or at (b~, a~)) is the reverse
-        one.  Tables repeat few masks, so each mask's converse image is
-        computed once."""
+        involutive conv: it must equal its :func:`g1_image` and its
+        :func:`g2_image`.  Each is an equality, not only an inclusion,
+        because the generator is an involution and the image has as many
+        triples as the table."""
         k, conv, comp = len(self.names), self.conv, self.comp
-        if any(comp[conv[a]] != transpose(comp[a], k) for a in range(k)):
-            return False
-        image: dict[int, int] = {}
-        for a, row in enumerate(comp):
-            for b, m in enumerate(row):
-                if m not in image:
-                    image[m] = sum(1 << conv[c] for c in bits(m))
-                if image[m] != comp[conv[b]][conv[a]]:
-                    return False
-        return True
+        return (tuple(g1_image(comp, conv, k)) == comp
+                and tuple(g2_image(comp, conv)) == comp)
 
     def validate(self) -> list[str]:
         """Return every violated structural invariant, with a witness.
@@ -212,41 +299,73 @@ class AtomStructure:
         return "(" + ", ".join(self.names[a] for a in t) + ")"
 
 
+def structure_from_generators(
+    names: Sequence[str],
+    identity: Iterable[int],
+    conv: Sequence[int],
+    forbidden: Iterable[Triple],
+) -> AtomStructure:
+    """Build a structure from atom ids: identity atoms, the converse of
+    each atom and a list of forbidden generator triples.
+
+    Each generator's bit is set in a table of forbidden masks, and the
+    table is closed with three mask passes: it is joined with its
+    :func:`g2_image`, then with its :func:`g1_image`, then with its
+    :func:`g2_image` again.  When conv is an involution, g1 and g2 are
+    involutions whose product has order 3, so they generate the six
+    Peircean transforms as the words of length at most 3: 1, g2, g1,
+    g1 g2, g2 g1 and g2 g1 g2 (= g1 g2 g1).  The three passes apply
+    each of these words to every generator, so the table becomes the
+    union of the generators' orbits.  For any other conv the result need
+    not be closed, and :meth:`AtomStructure.validate` rejects it.  Each
+    cell's complement is its consistent mask.  No validation is
+    performed here; call :meth:`AtomStructure.validate` on the result.
+    """
+    k = len(names)
+    forb = [[0] * k for _ in range(k)]
+    for a, b, c in forbidden:
+        forb[a][b] |= 1 << c
+    forb = list(map(_join, forb, g2_image(forb, conv)))
+    forb = list(map(_join, forb, g1_image(forb, conv, k)))
+    full = (1 << k) - 1
+    return AtomStructure(
+        names=tuple(names),
+        identity=frozenset(identity),
+        conv=tuple(conv),
+        comp=tuple(tuple(map(full.__xor__, row))
+                   for row in map(_join, forb, g2_image(forb, conv))),
+    )
+
+
+def _join(row: Sequence[int], other: Sequence[int]) -> tuple[int, ...]:
+    return tuple(map(or_, row, other))
+
+
 def make_structure(
     names: Sequence[str],
     identity: Iterable[str],
     converse_pairs: Iterable[tuple[str, str]],
     forbidden: Iterable[tuple[str, str, str]],
 ) -> AtomStructure:
-    """Build a structure from names and a forbidden generator list.
+    """Build a structure from names and a forbidden generator list:
+    :func:`structure_from_generators` on the atom ids of the names.
 
-    Atoms not mentioned in ``converse_pairs`` are self-converse.  The
-    forbidden list is closed under Peircean transforms into a table of
-    forbidden masks: a generator's six transforms are written when the
-    first member of its orbit is met, and each later member costs one
-    bit test.  For an involutive conv this is the union of the
-    generators' orbits; for any other conv the result need not be
-    closed, and :meth:`AtomStructure.validate` rejects the structure.
-    Each cell's complement is its consistent mask.  No validation is
-    performed here; call :meth:`AtomStructure.validate` on the result.
+    The generators are closed by three mask passes, g2, g1, g2, where
+    g1: (a, b, c) -> (a~, c, b) and g2: (a, b, c) -> (b~, a~, c~).  For
+    an involutive conv the six Peircean transforms are the words of
+    length at most 3 in g1 and g2, so the passes reach the union of the
+    generators' orbits.  Atoms not mentioned in ``converse_pairs`` are
+    self-converse; a later pair overrides an earlier one, so
+    contradicting pairs give a conv that is not an involution, which
+    :meth:`AtomStructure.validate` rejects.  No validation is performed
+    here.
     """
     names = tuple(names)
     index = {nm: i for i, nm in enumerate(names)}
-    k = len(names)
-    conv = list(range(k))
+    conv = list(range(len(names)))
     for a, b in converse_pairs:
         conv[index[a]] = index[b]
         conv[index[b]] = index[a]
-    forb = [[0] * k for _ in range(k)]
-    for x, y, z in forbidden:
-        a, b, c = index[x], index[y], index[z]
-        if not forb[a][b] >> c & 1:
-            for u, v, w in peircean_transforms((a, b, c), conv):
-                forb[u][v] |= 1 << w
-    full = (1 << k) - 1
-    return AtomStructure(
-        names=names,
-        identity=frozenset(index[nm] for nm in identity),
-        conv=tuple(conv),
-        comp=tuple(tuple(full ^ m for m in row) for row in forb),
-    )
+    return structure_from_generators(
+        names, [index[nm] for nm in identity], conv,
+        [(index[x], index[y], index[z]) for x, y, z in forbidden])

@@ -3,75 +3,155 @@
 The format has four sections.  `[atoms]` lists whitespace-separated
 atom names (their order fixes the index order), `[identity]` the
 identity atoms, `[converse]` one `a b` pair per line (unlisted atoms
-are self-converse) and `[forbidden]` one `a b c` triple per line.  The
-forbidden section may list only generators: the loader closes it under
-the six Peircean transforms into a table of forbidden masks and
-complements each cell to the structure's consistent-third masks.  `#`
-starts a comment anywhere.  Loading validates the structure and raises
-on any violation.  Writing lists the first member, in (a, b, c) order,
-of each Peircean orbit of forbidden triples, picked cell by cell with
-mask tests.
+are self-converse; a pair may repeat, mirrored or not, but may not
+contradict an earlier one) and `[forbidden]` one `a b c` triple per
+line.  A section may appear more than once; its lines add up.  `#`
+starts a comment anywhere.
+
+The forbidden section may list only generators.  The loader maps every
+name to its atom id once, sets each generator's bit in a table of
+forbidden masks and closes the table with three mask passes, g2, g1,
+g2, where g1: (a, b, c) -> (a~, c, b) and g2: (a, b, c) -> (b~, a~, c~)
+(see :func:`relalg.atoms.structure_from_generators`).  For an
+involutive conv the six Peircean transforms are the words of length at
+most 3 in g1 and g2, so three passes reach the union of the
+generators' orbits; the loader rejects contradicting converse pairs,
+so conv is always an involution.  Each cell's complement is then the
+consistent-third mask.  Loading validates the structure and raises on
+any violation.  Writing lists the first member, in (a, b, c) order, of
+each Peircean orbit of forbidden triples, picked cell by cell with mask
+tests.
 """
 
 from __future__ import annotations
 
-from .atoms import MAX_ATOMS, AtomStructure, bits, make_structure
+import re
+from itertools import chain
+
+from .atoms import MAX_ATOMS, AtomStructure, bits, structure_from_generators
 
 SECTIONS = ("atoms", "identity", "converse", "forbidden")
+_COMMENT = re.compile("#[^\n]*")
+_TRIPLE_LINES = re.compile(r"(?:\S+ \S+ \S+\n|\n)*(?:\S+ \S+ \S+)?")
 
 
 class RasFormatError(ValueError):
     pass
 
 
-def loads(text: str) -> AtomStructure:
-    """Parse and validate a structure from file contents."""
-    sections: dict = {name: [] for name in SECTIONS}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+def _blocks(lines: list) -> dict:
+    """Each section's blocks of lines, as (index of the first line,
+    lines) pairs in file order.  Only the lines holding a `[` can be
+    headers; they are found with str.find on the joined text, so the
+    lines between headers are not looked at here."""
+    blocks: dict = {name: [] for name in SECTIONS}
+    body = "\n".join(lines)
+    current, start = None, 0
+    i = pos = 0  # line i starts at body[pos]
+    while (hit := body.find("[", pos)) >= 0:
+        i += body.count("\n", pos, hit)
+        line = lines[i].split("#", 1)[0].strip()
         if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-            if current not in sections:
-                raise RasFormatError(f"line {lineno}: unknown section [{current}]")
-            continue
-        if current is None:
-            raise RasFormatError(f"line {lineno}: content before any section")
-        sections[current].append((lineno, line.split()))
+            _close(current, start, lines[start:i], blocks)
+            current, start = line[1:-1].strip().lower(), i + 1
+            if current not in blocks:
+                raise RasFormatError(f"line {i + 1}: unknown section [{current}]")
+        pos = body.find("\n", hit) + 1
+        if not pos:
+            break
+        i += 1
+    _close(current, start, lines[start:], blocks)
+    return blocks
 
-    names: list = []
-    for _, toks in sections["atoms"]:
-        names.extend(toks)
+
+def _close(section, start: int, lines: list, blocks: dict) -> None:
+    if section is None:
+        for lineno, _ in _rows([(start, lines)]):
+            raise RasFormatError(f"line {lineno}: content before any section")
+    else:
+        blocks[section].append((start, lines))
+
+
+def _rows(blocks: list):
+    """(line number, names) for each line of the blocks that holds a name."""
+    for start, lines in blocks:
+        for lineno, raw in enumerate(lines, start + 1):
+            toks = raw.split("#", 1)[0].split()
+            if toks:
+                yield lineno, toks
+
+
+def loads(text: str) -> AtomStructure:
+    """Parse and validate a structure from file contents.
+
+    Names are mapped to atom ids once, while reading.  The small
+    sections are read line by line.  `[forbidden]` is read in bulk when,
+    with comments cut, each of its lines is blank or three names split
+    by single spaces, as :func:`dumps` writes it: one regular-expression
+    match checks the layout, one split lists the names and one map turns
+    them into ids.  Any other layout, or an unknown name, sends it line
+    by line, which raises the error with its line number.  The id
+    triples go to :func:`structure_from_generators`, which closes them
+    with three mask passes.  A converse pair that contradicts an earlier
+    one is an error, so conv is an involution and the closure is exact.
+    """
+    blocks = _blocks(text.splitlines())
+    names = [nm for _, toks in _rows(blocks["atoms"]) for nm in toks]
     if not names:
         raise RasFormatError("no atoms declared")
     if len(set(names)) != len(names):
         raise RasFormatError("duplicate atom name")
     if len(names) > MAX_ATOMS:
         raise RasFormatError(f"more than {MAX_ATOMS} atoms")
-    known = set(names)
+    index = {nm: i for i, nm in enumerate(names)}
 
-    def checked(lineno: int, toks: list, arity: int) -> tuple:
+    def checked(lineno: int, toks: list, arity: int) -> list:
         if len(toks) != arity:
             raise RasFormatError(f"line {lineno}: expected {arity} names")
         for nm in toks:
-            if nm not in known:
+            if nm not in index:
                 raise RasFormatError(f"line {lineno}: unknown atom {nm!r}")
-        return tuple(toks)
+        return [index[nm] for nm in toks]
 
-    identity = [nm for ln, toks in sections["identity"]
-                for nm in checked(ln, toks, len(toks))]
-    converse = [checked(ln, toks, 2) for ln, toks in sections["converse"]]
-    forbidden = [checked(ln, toks, 3) for ln, toks in sections["forbidden"]]
+    identity = [a for ln, toks in _rows(blocks["identity"])
+                for a in checked(ln, toks, len(toks))]
+    conv = list(range(len(names)))
+    paired: dict = {}
+    for ln, toks in _rows(blocks["converse"]):
+        a, b = checked(ln, toks, 2)
+        for x, y in ((a, b), (b, a)):
+            if paired.setdefault(x, y) != y:
+                raise RasFormatError(
+                    f"line {ln}: converse of {names[x]!r} already given as "
+                    f"{names[paired[x]]!r}")
+        conv[a], conv[b] = b, a
+    ids = _forbidden_ids(blocks["forbidden"], index)
+    if ids is None:
+        ids = [a for ln, toks in _rows(blocks["forbidden"])
+               for a in checked(ln, toks, 3)]
     if not identity:
         raise RasFormatError("no identity atoms declared")
 
-    st = make_structure(names, identity, converse, forbidden)
+    it = iter(ids)
+    st = structure_from_generators(names, identity, conv, zip(it, it, it))
     problems = st.validate()
     if problems:
         raise RasFormatError("invalid structure: " + "; ".join(problems))
     return st
+
+
+def _forbidden_ids(blocks: list, index: dict):
+    """The atom ids of the forbidden triples, flat, read in bulk; None
+    if the section is not in the bulk layout or names an unknown atom."""
+    body = "\n".join(chain.from_iterable(lines for _, lines in blocks))
+    if "#" in body:
+        body = _COMMENT.sub("", body)
+    if not _TRIPLE_LINES.fullmatch(body):
+        return None
+    try:
+        return list(map(index.__getitem__, body.split()))
+    except KeyError:
+        return None
 
 
 def dumps(st: AtomStructure) -> str:
@@ -141,8 +221,15 @@ def dumps(st: AtomStructure) -> str:
 
 
 def load(path) -> AtomStructure:
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+    """Read and parse a UTF-8 file, with or without a byte-order mark;
+    text that is not UTF-8 is a format error."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise RasFormatError(
+            f"not UTF-8 text: byte {exc.start}: {exc.reason}") from None
+    return loads(text)
 
 
 def dump(st: AtomStructure, path) -> None:

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from relalg.atoms import (
     MAX_ATOMS,
     UnknownAtomError,
+    converse_images,
     make_structure,
     peircean_transforms,
+    transposes,
 )
 from relalg.rainbow import Rainbow, build_rainbow
 from reference import comp_table, from_triples, six_transform_closure, with_consistent
@@ -142,6 +144,25 @@ def test_table_is_complement_of_six_transform_closure(data):
     assert st_.conv == conv and st_.identity == frozenset(identity)
     assert all(st_.is_consistent(t) == (t in consistent)
                for t in product(range(k), repeat=3))
+
+
+# --- packed mask helpers -----------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 8, 9, 16, 17, 31, 32, 33, 62, 64])
+def test_packed_helpers_match_bit_loops(k):
+    """transposes and converse_images agree with bit-by-bit loops at each
+    slot width and at its edges."""
+    rng = random.Random(k)
+    for n in (0, 1, 3):
+        table = [[rng.getrandbits(k) for _ in range(k)] for _ in range(n)]
+        assert transposes(table, k) == [
+            tuple(sum((rows[b] >> c & 1) << b for b in range(k)) for c in range(k))
+            for rows in table]
+    conv = random_involution(rng, k)
+    masks = [rng.getrandbits(k) for _ in range(20)]
+    assert converse_images(masks, conv) == [
+        sum(1 << conv[c] for c in range(k) if m >> c & 1) for m in masks]
 
 
 # --- structure construction --------------------------------------------------

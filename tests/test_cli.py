@@ -57,6 +57,22 @@ def test_axioms_parse_error(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content,message", [
+    (b"\xff\xfe[\x00a\x00", "not UTF-8 text: byte 0: invalid start byte"),
+    (b"[atoms]\n1' a b c\n[identity]\n1'\n[converse]\na b\nb c\n[forbidden]\n",
+     "line 7: converse of 'b' already given as 'a'"),
+])
+def test_axioms_unreadable_structure(tmp_path, capsys, content, message):
+    """Text that is not UTF-8 and contradicting converse pairs are parse
+    errors: exit 2 with the path and the reason, no traceback."""
+    bad = tmp_path / "bad.ras"
+    bad.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["axioms", str(bad)])
+    assert exc.value.code == USAGE
+    assert capsys.readouterr().err == f"parse error in {bad}: {message}\n"
+
+
 def test_predict(ras22, ras32, capsys):
     assert main(["predict", ras22]) == OK
     assert "predicted representable" in capsys.readouterr().out

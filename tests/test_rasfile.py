@@ -10,7 +10,14 @@ from relalg import build_rainbow
 from relalg.atoms import make_structure, peircean_transforms
 from relalg.rainbow import atom_names
 from relalg.rasfile import RasFormatError, dump, dumps, load, loads
-from reference import comp_table, forbidden_generators, triple_dumps, triple_make_structure
+from reference import (
+    comp_table,
+    forbidden_generators,
+    from_triples,
+    six_transform_closure,
+    triple_dumps,
+    triple_make_structure,
+)
 
 
 def test_round_trip_rainbows():
@@ -23,6 +30,13 @@ def test_file_round_trip(tmp_path):
     st = build_rainbow(2, 2)
     path = tmp_path / "rainbow.ras"
     dump(st, path)
+    assert load(path) == st
+
+
+def test_file_with_byte_order_mark(tmp_path):
+    st = build_rainbow(2, 2)
+    path = tmp_path / "rainbow.ras"
+    path.write_bytes(b"\xef\xbb\xbf" + dumps(st).encode())
     assert load(path) == st
 
 
@@ -172,3 +186,165 @@ def test_round_trip_structures_with_converse_pairs(order, n_pairs, coherent, pic
     assert not (coherent and problems)
     if not problems:
         assert loads(dumps(st)) == st
+
+
+# --- parse semantics ---------------------------------------------------------
+
+
+def forbidden_line(text: str, n: int) -> int:
+    """The 1-based line number of the n-th line after `[forbidden]`."""
+    return text.splitlines().index("[forbidden]") + 1 + n
+
+
+@pytest.mark.parametrize("variant", [
+    lambda t: t.replace("\n", "\r\n"),
+    lambda t: t.replace(" ", "\t"),
+    lambda t: t.replace(" ", " \t  "),
+    lambda t: "\n".join("  " + ln + "  " for ln in t.splitlines()),
+    lambda t: t.replace("\n", "\n\n"),
+    lambda t: "\n".join(ln + " # note" if ln else ln for ln in t.splitlines()),
+    lambda t: "\n".join(ln + "# [x]" for ln in t.splitlines()),
+    lambda t: t.replace("[forbidden]", "  [ Forbidden ]  # generators"),
+    lambda t: t.replace("[atoms]", "[ATOMS]\t").replace("[identity]", "[identity ]"),
+])
+def test_layouts_read_alike(variant):
+    """CRLF line ends, tabs, runs of blanks, blank lines, comments after
+    headers and after triples, and section names in any case with
+    padding all read as the plain layout that dumps writes."""
+    st = build_rainbow(3, 2)
+    assert loads(variant(dumps(st))) == st
+
+
+def test_sections_may_repeat():
+    """A section that appears twice reads as one with both blocks' lines."""
+    st = build_rainbow(2, 2)
+    lines = dumps(st).splitlines()
+    at = lines.index("[forbidden]")
+    names = lines[1].split()
+    half = (len(lines) + at) // 2
+    text = "\n".join(
+        ["[atoms]", " ".join(names[:4]), "[forbidden]"] + lines[at + 1:half]
+        + ["[atoms]", " ".join(names[4:])] + lines[3:at + 1] + lines[half:])
+    assert loads(text) == st
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("1' b", "expected 3 names"),
+    ("1' b w y", "expected 3 names"),
+    ("1' b zz", "unknown atom 'zz'"),
+    ("zz 1' b # a comment", "unknown atom 'zz'"),
+])
+def test_forbidden_errors_name_their_line(bad, message):
+    """A bad line deep in a long [forbidden] section is reported with its
+    line number, and the first bad line is the one reported."""
+    text = dumps(build_rainbow(4, 2))
+    lines = text.splitlines()
+    n = forbidden_line(text, 100)
+    lines[n - 1] = bad
+    for later in (None, "1'"):
+        if later:
+            lines[n + 9] = later
+        with pytest.raises(RasFormatError) as exc:
+            loads("\n".join(lines))
+        assert str(exc.value) == f"line {n}: {message}"
+
+
+def test_header_errors_name_their_line():
+    body = "[atoms]\n1' d\n[identity]\n1'\n[converse]\n[forbidden]\n1' 1' d\n"
+    with pytest.raises(RasFormatError) as exc:
+        loads("# header\n\n x # [atoms]\n" + body)
+    assert str(exc.value) == "line 3: content before any section"
+    with pytest.raises(RasFormatError) as exc:
+        loads(body + "[forbidden] x\n[ Bogus ]\n")
+    assert str(exc.value) == "line 9: unknown section [bogus]"
+
+
+# --- converse pairs ----------------------------------------------------------
+
+PAIRED = "[atoms]\n1' a b c\n[identity]\n1'\n[converse]\n{pairs}\n[forbidden]\n{gens}\n"
+
+
+def coherent_generators(names) -> str:
+    return "\n".join(f"1' {x} {y}" for x in names for y in names if x != y)
+
+
+@pytest.mark.parametrize("pairs,line,message", [
+    ("a b\nb c", 7, "converse of 'b' already given as 'a'"),
+    ("a b\nc a", 7, "converse of 'a' already given as 'b'"),
+    ("a a\na b", 7, "converse of 'a' already given as 'a'"),
+    ("a b\n\na b # again\nb a\nc c\n1' c", 11, "converse of 'c' already given as 'c'"),
+])
+def test_conflicting_converse_pairs_rejected(pairs, line, message):
+    text = PAIRED.format(pairs=pairs, gens=coherent_generators(["1'", "a", "b", "c"]))
+    with pytest.raises(RasFormatError) as exc:
+        loads(text)
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("pairs", ["a b\na b", "a b\nb a", "b a\n# a b\na b\nc c"])
+def test_repeated_and_mirrored_pairs_allowed(pairs):
+    gens = coherent_generators(["1'", "a", "b", "c"])
+    st = loads(PAIRED.format(pairs=pairs, gens=gens))
+    assert st == loads(PAIRED.format(pairs="a b", gens=gens))
+    assert st.conv == (0, 2, 1, 3)
+
+
+def test_make_structure_leaves_conflicting_pairs_to_validate():
+    """Called directly, make_structure lets a later pair override an
+    earlier one, and validate rejects the conv that results."""
+    names = ["1'", "a", "b", "c"]
+    st = make_structure(names, ["1'"], [("a", "b"), ("b", "c")],
+                        [("1'", x, y) for x in names for y in names if x != y])
+    assert st.conv == (0, 2, 3, 2)
+    assert any(p.startswith("involution") for p in st.validate())
+
+
+# --- the text path against the triple-set closure ----------------------------
+
+
+@hs.composite
+def generator_texts(draw):
+    """A .ras text over 1' and up to six diversity atoms with a random
+    converse involution, its identity-coherence generators and other
+    generators whose orbits avoid (1', x, x).  Each generator is written
+    as a random member of its orbit, some twice, in random order, and
+    each converse pair in a random orientation, some twice.  Returns the
+    text, conv and the generators as atom ids."""
+    k = draw(hs.integers(2, 7))
+    order = draw(hs.permutations(range(1, k)))
+    conv = list(range(k))
+    pairs = []
+    for i in range(draw(hs.integers(0, (k - 1) // 2))):
+        a, b = order[2 * i], order[2 * i + 1]
+        conv[a], conv[b] = b, a
+        pairs += [(a, b) if draw(hs.booleans()) else (b, a)] * draw(hs.integers(1, 2))
+    conv = tuple(conv)
+    atom = hs.integers(0, k - 1)
+    drawn = draw(hs.lists(hs.tuples(atom, atom, atom), max_size=3 * k))
+    extras = [t for t in drawn if not any(
+        u[0] == 0 and u[1] == u[2] for u in peircean_transforms(t, conv))]
+    coherence = [(0, x, y) for x in range(k) for y in range(k) if x != y]
+    gens = [peircean_transforms(t, conv)[draw(hs.integers(0, 5))]
+            for t in coherence + extras]
+    gens += draw(hs.lists(hs.sampled_from(gens), max_size=6))
+    gens = draw(hs.permutations(gens))
+    names = ["1'"] + [f"x{i}" for i in range(1, k)]
+    text = "\n".join(
+        ["[atoms]", " ".join(names), "[identity]", "1'", "[converse]"]
+        + [f"{names[a]} {names[b]}" for a, b in pairs] + ["[forbidden]"]
+        + [" ".join(names[a] for a in t) for t in gens]) + "\n"
+    return text, names, conv, gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_texts())
+def test_loads_matches_six_transform_closure(data):
+    """loads on generator text gives the complement of the generators'
+    closure under all six transforms, whichever orbit member stands for
+    a generator, with repeats and in any order."""
+    text, names, conv, gens = data
+    k = len(names)
+    consistent = set(product(range(k), repeat=3)) - six_transform_closure(gens, conv)
+    expected = from_triples(names, [0], conv, consistent)
+    assert expected.validate() == []
+    assert loads(text) == expected
