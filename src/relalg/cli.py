@@ -141,7 +141,7 @@ def cmd_efgame(args) -> int:
         res = efgame.verify_ef_strategy(
             algebra.Algebra(ra.structure), algebra.Algebra(rb.structure),
             strategy, args.n, mode=args.mode,
-            samples=args.samples, seed=args.seed,
+            samples=args.samples, seed=args.seed, max_states=args.budget,
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -242,6 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="exhaustive")
     p.add_argument("--samples", type=POSITIVE, default=10_000)
     p.add_argument("--seed", type=int)
+    p.add_argument("--budget", type=COUNT, default=efgame.DEFAULT_MAX_STATES,
+                   help="most position classes to decide")
     p.set_defaults(fn=cmd_efgame)
 
     p = sub.add_parser("seurat", help="verify the colouring game strategy")

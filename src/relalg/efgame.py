@@ -17,13 +17,17 @@ atom with an int over those pairs.  A direct pairwise closure
 small instances.
 
 :func:`verify_ef_strategy` returns a :class:`~relalg.verdict.Verdict`.
-Within one call it decides each position once per class of positions
-under permutations inside the twin classes of the two algebras
-(:attr:`Algebra.twin_classes`, atoms that an automorphism swaps):
-every such permutation is a pair of automorphisms, and the pairing
-extends to an isomorphism in both of two positions it relates or in
-neither.  Every play is still run, so the strategy still answers every
-move.
+Within one call it decides each position once per class of its
+starting joint partition of the atoms (the region pairs the played
+pairs and the identity cut the two tops into), taken up to
+permutations inside the twin classes of the two algebras
+(:attr:`Algebra.twin_classes`, atoms that an automorphism swaps).
+:func:`position_winner` reads the played masks only through that
+partition, and every such permutation is a pair of automorphisms, so
+positions of one class have one winner (:func:`_partition_key` gives
+the argument).  Every play is still run, so the strategy still answers
+every move, and more than a state budget of classes ends the check
+"inconclusive".
 """
 
 from __future__ import annotations
@@ -36,10 +40,11 @@ from typing import Optional
 from .algebra import Algebra
 from .rainbow import Rainbow
 from .seurat import SeuratSession, SeuratStrategyFailure
-from .verdict import Verdict, check_counts
+from .verdict import BudgetExhausted, Verdict, check_counts
 
 EXHAUSTIVE_MAX_ROUNDS = 1
 EXHAUSTIVE_MAX_SIZE = 1 << 13
+DEFAULT_MAX_STATES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -259,25 +264,62 @@ def _round_line(i: int, side: str, elem: int, resp: int, status: str) -> str:
     )
 
 
-def _twin_key(alg: Algebra):
-    """The key of one side's played masks up to permutations inside the
-    algebra's twin classes.
+def _partition_key(alg_a: Algebra, alg_b: Algebra):
+    """The key of a position: its starting joint partition of the atoms,
+    up to permutations inside the twin classes of each side
+    (:attr:`Algebra.twin_classes`).
 
-    It holds each mask's part outside every class and, per class, the
-    sorted membership vectors of the class's atoms (bit p of an atom's
-    vector says it lies in mask p): the sizes of the Venn regions of the
-    masks inside the class.  Two mask lists have equal keys iff some
-    permutation inside each class maps the one onto the other.
+    The partition starts from the one region pair (1 in A, 1 in B) and
+    splits every region pair by the identity pair, then by each played
+    pair (a, b), into (ra & a, rb & b) and (ra & ~a, rb & ~b).  A pair is
+    dropped only when both its sides are empty; a one-sided pair is kept,
+    as it is exactly a "forall" case.  Each region is described by its
+    mask outside the twin classes and its size inside each class, and
+    the key is the sorted tuple of the region pairs' descriptors.
+
+    Soundness.  (1) :func:`position_winner` reads the played masks only
+    to form its first-pass groups, the atoms of both sides with one
+    membership vector over the played elements and the identity; those
+    groups are exactly these region pairs.  Every later pass, and the
+    one-sided test, reads only the set of groups, so the winner is a
+    function of the set of region pairs.  (2) Two positions with equal
+    keys have the same multiset of descriptors, so their region pairs
+    can be matched with equal descriptors.  Matched regions agree
+    outside the twin classes and have equal sizes inside each class, so
+    a permutation inside each class, one per side, maps every region of
+    the first partition onto its match.  Each such permutation is a
+    product of twin transpositions, hence an automorphism, and it fixes
+    1'.  The pairing of the first position extends to an isomorphism f
+    iff the permuted pairing extends to the image of f under the two
+    automorphisms, and the permuted pairing has the second position's
+    partition, hence by (1) its winner.
+
+    The key is exact: keys are equal iff such a pair of permutations
+    exists, since the permutations keep every descriptor.  It merges
+    whatever twin swaps of the played masks merge, and also positions
+    whose masks differ but split the atoms alike: a pair and its
+    complement, a pair and its symmetric difference with the identity
+    pair, the same pairs in another order, a repeated pair.
     """
-    classes = alg.twin_classes
-    fixed = alg.one & ~sum(1 << x for cls in classes for x in cls)
+    def describe(alg: Algebra):
+        masks = [sum(1 << x for x in cls) for cls in alg.twin_classes]
+        fixed = alg.one & ~sum(masks)
+        return lambda r: (r & fixed, *[(r & m).bit_count() for m in masks])
 
-    def key(masks: list[int]) -> tuple:
-        return tuple(m & fixed for m in masks), tuple(
-            tuple(sorted(sum((m >> x & 1) << p for p, m in enumerate(masks))
-                         for x in cls))
-            for cls in classes
-        )
+    desc_a, desc_b = describe(alg_a), describe(alg_b)
+    top = [(alg_a.one, alg_b.one)]
+    ident = (alg_a.identity_mask, alg_b.identity_mask)
+
+    def key(pairs) -> tuple:
+        regions = top
+        for a, b in chain((ident,), pairs):
+            regions = [
+                (x, y)
+                for ra, rb in regions
+                for x, y in ((ra & a, rb & b), (ra & ~a, rb & ~b))
+                if x or y
+            ]
+        return tuple(sorted((desc_a(x), desc_b(y)) for x, y in regions))
 
     return key
 
@@ -337,6 +379,7 @@ def verify_ef_strategy(
     mode: str = "exhaustive",
     samples: int = 10_000,
     seed: Optional[int] = None,
+    max_states: int = DEFAULT_MAX_STATES,
 ) -> Verdict:
     """Check a second-player strategy against every (or a sample of)
     first-player play.
@@ -344,23 +387,21 @@ def verify_ef_strategy(
     Exhaustive mode walks all element choices on both sides each round
     and is only allowed for n <= 1 on algebras up to 2^13 elements;
     larger runs must use sampled mode, whose verdict is labelled
-    "verified-sampled" and never counts as exhaustive.
+    "verified-sampled" and never counts as exhaustive.  A sampled play
+    never repeats an element of a side, so n may not exceed either
+    side's element count.
 
     Each position is decided by :func:`position_winner` once per class,
-    keyed on both sides' :func:`_twin_key`, and the verdict's ``states``
-    is the number of classes decided, which is the number of
-    :func:`position_winner` calls.  This is exact.  Equal keys give, on
-    each side, a permutation inside that side's twin classes that maps
-    the one position's played masks onto the other's.  Such a
-    permutation is an automorphism, as a product of twin
-    transpositions, and it fixes the identity.  So if f is an
-    isomorphism between the subalgebras the first pairing generates,
-    the permutations carry it to one that extends the second pairing,
-    and the other way round.  Every play is still run in full, so moves,
+    keyed on :func:`_partition_key`, its starting joint partition of the
+    atoms up to twin swaps; that docstring argues that equal keys give
+    equal winners.  The verdict's ``states`` is the number of classes
+    decided, which is the number of :func:`position_winner` calls, and
+    more than ``max_states`` classes give "inconclusive" with reason
+    "state budget" and no transcript.  Every play is still run in full, so moves,
     ``plays``, transcripts and the first lost play are those of checking
     each position afresh.
     """
-    check_counts(n=n)
+    check_counts(n=n, max_states=max_states)
     if mode == "exhaustive":
         if n > EXHAUSTIVE_MAX_ROUNDS:
             raise ValueError(
@@ -377,25 +418,37 @@ def verify_ef_strategy(
         if seed is None:
             raise ValueError("sampled mode requires an explicit seed")
         check_counts(1, samples=samples)
+        for side, alg in (("A", alg_a), ("B", alg_b)):
+            if n > alg.size:
+                raise ValueError(
+                    f"n = {n} exceeds the {alg.size} elements of side {side}; "
+                    "a sampled play never repeats an element of a side"
+                )
         move_lists = _sampled_moves(alg_a, alg_b, n, samples, random.Random(seed))
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    key_a, key_b = _twin_key(alg_a), _twin_key(alg_b)
+    key = _partition_key(alg_a, alg_b)
     decided: dict = {}
 
     def exists_ok(pos: EFPosition) -> bool:
-        key = key_a([a for a, _ in pos.pairs]), key_b([b for _, b in pos.pairs])
-        ok = decided.get(key)
+        k = key(pos.pairs)
+        ok = decided.get(k)
         if ok is None:
-            ok = decided[key] = position_winner(pos).exists_ok
+            if len(decided) == max_states:
+                raise BudgetExhausted
+            ok = decided[k] = position_winner(pos).exists_ok
         return ok
 
     plays = 0
-    for moves in move_lists:
-        plays += 1
-        lost = _play_out(alg_a, alg_b, strategy, n, moves, exists_ok)
-        if lost is not None:
-            return Verdict("counterexample", lost, states=len(decided), plays=plays,
-                           reason=f"strategy reached a losing position in play {plays}")
+    try:
+        for moves in move_lists:
+            plays += 1
+            lost = _play_out(alg_a, alg_b, strategy, n, moves, exists_ok)
+            if lost is not None:
+                return Verdict("counterexample", lost, states=len(decided), plays=plays,
+                               reason=f"strategy reached a losing position in play {plays}")
+    except BudgetExhausted:
+        return Verdict("inconclusive", reason="state budget", states=max_states + 1,
+                       plays=plays)
     status = "verified" if mode == "exhaustive" else "verified-sampled"
     return Verdict(status=status, states=len(decided), plays=plays)

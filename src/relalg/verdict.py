@@ -22,10 +22,11 @@ class Verdict:
 
     ``transcript`` is the one reported line of play, a text line per
     move: the line lost, or the line a budget ran out on (a verified
-    refutation holds one summary line).  Only that line is formatted,
-    as a depth-first search unwinds or, in the breadth-first pebble
-    search, from each position's parent link, so no move of a won line
-    is ever formatted.
+    refutation holds one summary line, and the equivalence game reports
+    none for a spent budget).  Only that line is formatted, as a
+    depth-first search unwinds or, in the breadth-first pebble search,
+    from each position's parent link, so no move of a won line is ever
+    formatted.
 
     ``states`` counts the positions a search expanded, or, in the
     equivalence game, the classes of positions it decided, one
@@ -49,8 +50,9 @@ class Verdict:
 
 class BudgetExhausted(Exception):
     """Raised by the formula evaluator for an algebra with more elements
-    than its element budget; the game searches return an "inconclusive"
-    ``Verdict`` instead."""
+    than its element budget.  The game searches return an
+    "inconclusive" ``Verdict`` instead; the equivalence game raises it
+    from its position check and turns it into one."""
 
 
 def check_counts(least: int = 0, **counts: int) -> None:

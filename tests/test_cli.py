@@ -188,6 +188,16 @@ def _exit_code(argv) -> int:
      "verified (exhaustive): 1536 plays, no losing position"),
     ("efgame b41.ras b51.ras -n 2", USAGE, "err", "exhaustive mode supports n <= 1"),
     ("efgame b22.ras b41.ras -n 1", USAGE, "err", "different red index sets"),
+    # a sampled play never repeats an element, so n is capped by each side
+    ("efgame b41.ras b51.ras -n 600 --mode sampled --seed 0", USAGE, "err",
+     "n = 600 exceeds the 512 elements of side A"),
+    # a spent state budget is inconclusive, not a verdict
+    ("efgame b41.ras b51.ras -n 1 --budget 35", INCONCLUSIVE, "out",
+     "inconclusive: state budget"),
+    ("efgame b41.ras b51.ras -n 1 --budget 36", OK, "out",
+     "verified (exhaustive): 1536 plays, no losing position; 36 position classes checked"),
+    ("efgame b41.ras b51.ras -n 1 --budget -1", USAGE, "err",
+     "argument --budget: invalid count -1: must be at least 0"),
     # a reply the strategy cannot give loses the play, with no traceback
     ("efgame b22.ras b32.ras -n 2 --mode sampled --samples 200 --seed 0", FAIL, "out",
      "| exists: strategy failure: palette 0: need 3 of 2 points\n"

@@ -390,7 +390,7 @@ def test_witness_and_cells_lie_in_the_generated_subalgebra(s_a, s_b, t):
 
 
 # ---------------------------------------------------------------------------
-# position classes under twin permutations
+# position classes: starting joint partitions up to twin permutations
 
 
 def _memo_free_verdict(alg_a, alg_b, strategy, n, mode="exhaustive",
@@ -486,9 +486,9 @@ def test_position_class_counts():
                                Prop44Strategy(rb_a, rb_b), 1)
         counts[s_a, s_b, t] = v.status, v.plays, v.states
     assert counts == {
-        (4, 5, 1): ("verified", 1536, 144),
-        (3, 4, 2): ("counterexample", 2097, 1025),
-        (4, 5, 2): ("verified", 12288, 1536),
+        (4, 5, 1): ("verified", 1536, 36),
+        (3, 4, 2): ("counterexample", 2097, 257),
+        (4, 5, 2): ("verified", 12288, 384),
     }
 
 
@@ -505,27 +505,58 @@ def _random_twin_perm(alg, rng):
     return perm
 
 
-@pytest.mark.parametrize(
-    "s_a, s_b, t, count", [(2, 3, 1, 150), (4, 5, 1, 150), (3, 4, 2, 150), (8, 9, 2, 60)]
-)
-def test_twin_permutations_keep_key_and_winner(s_a, s_b, t, count):
+def _pair_algebras(s_a, s_b, t):
     rb_a, rb_b = Rainbow.make(s_a, t), Rainbow.make(s_b, t)
-    alg_a, alg_b = Algebra(rb_a.structure), Algebra(rb_b.structure)
-    key_a, key_b = efgame._twin_key(alg_a), efgame._twin_key(alg_b)
-    rng = random.Random(10 * s_a + t)
+    return rb_a, rb_b, Algebra(rb_a.structure), Algebra(rb_b.structure)
+
+
+def _assert_key_and_winner_kept(s_a, s_b, t, count, seed, moved_pairs):
+    """Sampled positions and their images under ``moved_pairs(pairs,
+    alg_a, alg_b, rng)`` (then a random twin permutation per side) have
+    equal partition keys and equal winners, and both winners occur."""
+    rb_a, rb_b, alg_a, alg_b = _pair_algebras(s_a, s_b, t)
+    key = efgame._partition_key(alg_a, alg_b)
+    rng = random.Random(seed)
     winners = set()
     for pos in _sampled_positions(rb_a, rb_b, alg_a, alg_b, count, rng):
+        pairs = moved_pairs(list(pos.pairs), alg_a, alg_b, rng)
         perm_a, perm_b = _random_twin_perm(alg_a, rng), _random_twin_perm(alg_b, rng)
         moved = EFPosition(alg_a, alg_b, tuple(
-            (_permuted(a, perm_a), _permuted(b, perm_b))
-            for a, b in pos.pairs
+            (_permuted(a, perm_a), _permuted(b, perm_b)) for a, b in pairs
         ))
         winner = position_winner(pos).winner
         assert position_winner(moved).winner == winner
-        for key, side in ((key_a, 0), (key_b, 1)):
-            assert key([p[side] for p in pos.pairs]) == key([p[side] for p in moved.pairs])
+        assert key(pos.pairs) == key(moved.pairs)
         winners.add(winner)
     assert winners == {"exists", "forall"}
+
+
+KEY_CASES = [(2, 3, 1, 150), (4, 5, 1, 150), (3, 4, 2, 150), (8, 9, 2, 60)]
+
+
+@pytest.mark.parametrize("s_a, s_b, t, count", KEY_CASES)
+def test_twin_permutations_keep_key_and_winner(s_a, s_b, t, count):
+    _assert_key_and_winner_kept(s_a, s_b, t, count, 10 * s_a + t,
+                                lambda pairs, alg_a, alg_b, rng: pairs)
+
+
+def _complement_or_flip_then_shuffle(pairs, alg_a, alg_b, rng):
+    """Replace one pair by its complement or by its symmetric difference
+    with the identity pair, then reorder the pairs."""
+    i = rng.randrange(len(pairs))
+    a, b = pairs[i]
+    if rng.random() < 0.5:
+        pairs[i] = alg_a.complement(a), alg_b.complement(b)
+    else:
+        pairs[i] = a ^ alg_a.identity_mask, b ^ alg_b.identity_mask
+    rng.shuffle(pairs)
+    return pairs
+
+
+@pytest.mark.parametrize("s_a, s_b, t, count", KEY_CASES)
+def test_partition_key_ignores_what_does_not_split_the_atoms(s_a, s_b, t, count):
+    _assert_key_and_winner_kept(s_a, s_b, t, count, 100 * s_a + t,
+                                _complement_or_flip_then_shuffle)
 
 
 def test_equal_keys_give_equal_winners():
@@ -533,7 +564,7 @@ def test_equal_keys_give_equal_winners():
     # non-green part, the greens of all four masks ranging freely
     rb = Rainbow.make(3, 2)
     alg_a, alg_b = Algebra(rb.structure), Algebra(rb.structure)
-    key_a, key_b = efgame._twin_key(alg_a), efgame._twin_key(alg_b)
+    key = efgame._partition_key(alg_a, alg_b)
     rng = random.Random(3)
     greens = [sum(1 << rb.green(i) for i in range(3) if g >> i & 1) for g in range(8)]
     base = [rng.randrange(alg_a.size) & ~rb.green_mask for _ in range(2)]
@@ -541,8 +572,46 @@ def test_equal_keys_give_equal_winners():
     for g1, g2, h1, h2 in itertools.product(greens, repeat=4):
         pos = EFPosition(alg_a, alg_b, ((base[0] | g1, base[0] | h1),
                                         (base[1] | g2, base[1] | h2)))
-        key = key_a([g1 | base[0], g2 | base[1]]), key_b([h1 | base[0], h2 | base[1]])
-        by_key.setdefault(key, set()).add(position_winner(pos).winner)
+        by_key.setdefault(key(pos.pairs), set()).add(position_winner(pos).winner)
     assert all(len(w) == 1 for w in by_key.values())
     assert {w for ws in by_key.values() for w in ws} == {"exists", "forall"}
     assert len(by_key) < 8 ** 4 // 10
+
+
+def test_equal_keys_give_equal_winners_over_all_one_pair_positions():
+    _, _, alg_a, alg_b = _pair_algebras(2, 3, 1)
+    key = efgame._partition_key(alg_a, alg_b)
+    by_key = {}
+    for a, b in itertools.product(range(alg_a.size), range(alg_b.size)):
+        pos = EFPosition(alg_a, alg_b, ((a, b),))
+        by_key.setdefault(key(pos.pairs), set()).add(position_winner(pos).winner)
+    assert all(len(w) == 1 for w in by_key.values())
+    assert {w for ws in by_key.values() for w in ws} == {"exists", "forall"}
+    assert len(by_key) < alg_a.size * alg_b.size
+
+
+def test_sampled_mode_refuses_more_rounds_than_elements():
+    rb_a, rb_b, alg_a, alg_b = _pair_algebras(1, 2, 1)
+    strat = Prop44Strategy(rb_a, rb_b)
+    assert (alg_a.size, alg_b.size) == (64, 128)
+    with pytest.raises(ValueError, match="n = 65 exceeds the 64 elements of side A"):
+        verify_ef_strategy(alg_a, alg_b, strat, 65, mode="sampled", samples=1, seed=0)
+    with pytest.raises(ValueError, match="n = 100 exceeds the 64 elements of side B"):
+        verify_ef_strategy(alg_b, alg_a, strat, 100, mode="sampled", samples=1, seed=0)
+
+
+def test_state_budget_gives_inconclusive():
+    rb_a, rb_b, alg_a, alg_b = _pair_algebras(4, 5, 1)
+    strat = Prop44Strategy(rb_a, rb_b)
+    full = verify_ef_strategy(alg_a, alg_b, strat, 1)
+    assert (full.status, full.states) == ("verified", 36)
+    assert verify_ef_strategy(alg_a, alg_b, strat, 1, max_states=36) == full
+    v = verify_ef_strategy(alg_a, alg_b, strat, 1, max_states=35)
+    assert (v.status, v.reason, v.states, v.transcript) == (
+        "inconclusive", "state budget", 36, [])
+    assert 0 < v.plays < full.plays
+    v = verify_ef_strategy(alg_a, alg_b, strat, 2, mode="sampled", samples=50,
+                           seed=1, max_states=0)
+    assert (v.status, v.states, v.plays) == ("inconclusive", 1, 1)
+    with pytest.raises(ValueError, match="max_states"):
+        verify_ef_strategy(alg_a, alg_b, strat, 1, max_states=-1)

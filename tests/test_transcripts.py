@@ -129,7 +129,7 @@ CASES = {
     ),
     "equivalence B(2,2)/B(3,2) n=1": (
         lambda: _ef(2, 3, 2, 1),
-        ("counterexample", "strategy reached a losing position in play 145", 113, 145, [
+        ("counterexample", "strategy reached a losing position in play 145", 57, 145, [
             "round 0 | forall: side=A elem=0x90 | exists: elem=0x110 | forall wins",
         ]),
     ),
