@@ -40,6 +40,13 @@ def bits(mask: int):
         mask ^= low
 
 
+def table_triples(comp: Sequence[Sequence[int]]) -> frozenset[Triple]:
+    """The triples (a, b, c) of a mask table: one for each bit c of
+    ``comp[a][b]``."""
+    return frozenset((a, b, c) for a, row in enumerate(comp)
+                     for b, m in enumerate(row) for c in bits(m))
+
+
 # array type codes by item width in bits, for packing masks side by side
 _CODES = {array(code).itemsize * 8: code for code in "QIHB"}
 
@@ -196,12 +203,7 @@ class AtomStructure:
     @cached_property
     def consistent(self) -> frozenset[Triple]:
         """The consistent triples, read off the table on first use."""
-        return frozenset(
-            (a, b, c)
-            for a, row in enumerate(self.comp)
-            for b, m in enumerate(row)
-            for c in bits(m)
-        )
+        return table_triples(self.comp)
 
     def atom(self, name: str) -> int:
         try:

@@ -1,5 +1,6 @@
 """Pebble game on atom structures: partial isomorphisms and strategies."""
 
+import random
 from typing import Optional
 
 import pytest
@@ -10,6 +11,7 @@ from relalg.pebble import (
     Cor33Strategy,
     PebbleStrategyFailure,
     _move_line,
+    atom_types,
     partial_iso,
     verify_pebble_strategy,
 )
@@ -87,6 +89,60 @@ def test_green_swap_is_a_partial_iso():
     g0, g1 = RB22.green(0), RB22.green(1)
     ok, _ = partial_iso(L22, L22, {0: (g0, g1), 1: (g1, g0)})
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# atom types: a one-pair extension is decided by comparing two ints
+
+
+def _rel(s, t):
+    return AtomRelStructure.from_atom_structure(Rainbow.make(s, t).structure)
+
+
+def _random_partial_iso(left, right, rng) -> dict:
+    """A partial isomorphism of 0-3 pebbled pairs, grown one pair at a
+    time: either a pebbled pair again or an atom of a random side with a
+    random partner that :func:`partial_iso` accepts."""
+    pos: dict = {}
+    for pebble in range(rng.randrange(4)):
+        if pos and rng.random() < 0.25:
+            pos[pebble] = rng.choice(list(pos.values()))
+            continue
+        side = rng.randrange(2)
+        atom = rng.randrange((left, right)[side].size)
+        fits = [
+            pair for other in range((right, left)[side].size)
+            for pair in [(atom, other) if side == 0 else (other, atom)]
+            if partial_iso(left, right, {**pos, pebble: pair})[0]
+        ]
+        if not fits:
+            break
+        pos[pebble] = rng.choice(fits)
+    return pos
+
+
+# (s_left, t_left, s_right, t_right); B(1,1) has t = 1, where w and
+# r0_0 are twins
+TYPE_PAIRS = [(2, 2, 3, 2), (3, 3, 4, 3), (1, 1, 2, 1), (3, 3, 3, 2)]
+
+
+@pytest.mark.parametrize("pair", TYPE_PAIRS)
+def test_equal_types_iff_the_extension_is_a_partial_iso(pair):
+    s_l, t_l, s_r, t_r = pair
+    left, right = _rel(s_l, t_l), _rel(s_r, t_r)
+    rng = random.Random(f"types:{pair}")
+    sizes = set()
+    for _ in range(150):
+        pos = _random_partial_iso(left, right, rng)
+        sizes.add(len(pos))
+        others = sorted(pos.values())
+        lt = atom_types(left, tuple(a for a, _ in others))
+        rt = atom_types(right, tuple(b for _, b in others))
+        for a in range(left.size):
+            for b in range(right.size):
+                ok, _ = partial_iso(left, right, {**pos, len(pos): (a, b)})
+                assert (lt[a] == rt[b]) == ok, (pos, a, b)
+    assert sizes == {0, 1, 2, 3}
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +248,42 @@ def test_budget_stops_at_the_position_it_would_expand():
         L22, L32, strat, pebbles=2, rounds=5, max_states=full.states
     )
     assert (same.status, same.states) == ("verified", full.states)
+
+
+def _counting_full_checks(monkeypatch) -> list:
+    """Replace the engine's full check by one that records each call."""
+    calls: list = []
+
+    def counted(left, right, pos):
+        calls.append(dict(pos))
+        return partial_iso(left, right, pos)
+
+    monkeypatch.setattr("relalg.pebble.partial_iso", counted)
+    return calls
+
+
+@pytest.mark.parametrize("s, t, pebbles, rounds, classes", [
+    (3, 3, 3, 6, 2552),
+    (3, 3, 3, 7, 2552),  # the closure: a seventh round expands nothing new
+    (4, 4, 4, 4, 4857),
+])
+def test_engine_reach_by_types_alone(monkeypatch, s, t, pebbles, rounds, classes):
+    # every child is accepted on equal types, so the full check never runs
+    calls = _counting_full_checks(monkeypatch)
+    rb_l, rb_r = Rainbow.make(s, t), Rainbow.make(s + 1, t)
+    res = verify_pebble_strategy(
+        AtomRelStructure.from_atom_structure(rb_l.structure),
+        AtomRelStructure.from_atom_structure(rb_r.structure),
+        Cor33Strategy(rb_l, rb_r), pebbles=pebbles, rounds=rounds)
+    assert (res.status, res.states, calls) == ("verified", classes, [])
+
+
+def test_full_check_runs_once_for_the_breach(monkeypatch):
+    calls = _counting_full_checks(monkeypatch)
+    res = verify_pebble_strategy(
+        L22, L32, Cor33Strategy(RB22, RB32), pebbles=3, rounds=3)
+    assert res.status == "counterexample"
+    assert len(calls) == ("| breach: " in res.transcript[-1])
 
 
 # ---------------------------------------------------------------------------
