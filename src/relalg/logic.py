@@ -6,17 +6,19 @@ Formulas are equalities of terms closed under negation, conjunction,
 disjunction and quantification; <= and < are sugar.
 
 Evaluation is Tarskian over a finite complex algebra with k atoms and
-N = 2^k elements, and bit-sliced: the body of a quantifier over v is
-evaluated at all N values of v at once.  There a term's value is k
-*planes*, plane[a] being an N-bit int whose bit e is set iff atom a is
-in the term's value at v = e, and a formula's value is one N-bit truth
-int, bit e set iff it holds at v = e.  Each operation applies its
-atom-level definition to bit e of every plane at once, so bit e of the
-result is that definition at element e:
+N = 2^k elements, and bit-sliced over a *grid*: a tuple of m column
+variables whose N^m joint values, the bindings, are all evaluated at
+once.  Binding b gives variable i the value held in digit i of b, its
+bits i·k to i·k + k - 1.  There a term's value is k *planes*, plane[a]
+being an N^m-bit int whose bit b is set iff atom a is in the term's
+value at binding b, and a formula's value is one N^m-bit truth int.
+Each operation applies its atom-level definition to bit b of every
+plane at once, so bit b of the result is that definition at b:
 
-- v: plane[a] holds the elements e with bit a set, i.e. containing a.
-- A constant or another variable is one mask m at every e; where it
-  meets planes, plane[a] is all-ones if a is in m and 0 otherwise.
+- variable i: plane[a] holds the bindings with bit i·k + a set, i.e.
+  whose digit i contains a.
+- A constant or a variable outside the grid is one mask m at every b;
+  where it meets planes, plane[a] is all-ones if a is in m, else 0.
 - -x: plane ^ ONES, as a is in -x iff a is not in x.
 - x^: out[a] = plane[conv a], as a is in x^ iff conv a is in x.
 - x + y: OR plane by plane, as a is in x + y iff it is in x or in y.
@@ -25,30 +27,66 @@ result is that definition at element e:
   constant side m first becomes the k-entry row m;b (or a;m), and
   out[c] is the OR of the other side's planes whose entry holds c.
 - x = y: ONES ^ OR of p[a] ^ q[a], as x = y iff no atom is in just one.
-- ~, & and |: bitwise on truth ints, bit e being the truth at e.  A
-  formula that does not vary with v is a bool, which is 0 or ONES, the
-  same at every e, where it meets a truth int.
-- Q z. body: the body's truth int over z has some bit set (E) or all N
-  set (A).  A body that is itself a quantifier over z (under any
-  number of ~) gets no column over z: z's values are tried in turn,
-  and the first that decides Q z stops the search.  Where the
-  quantified formula varies with v, it is decided at each of v's N
-  values in turn to give bit e.
+- ~, & and |: bitwise on truth ints, bit b being the truth at b.  A
+  formula that meets no grid variable is a bool, which is 0 or ONES,
+  the same at every b, where it meets a truth int.
+
+Every node that meets a grid variable is held over the whole grid,
+even along digits it does not read, so two sides always line up bit
+for bit and nothing is broadcast.
+
+Q z. body, where z is free in the body (else it is the body: there are
+N >= 2 values of z), is a bool if it meets no grid variable: its body
+is then evaluated with the grid left empty.  Otherwise it is held over
+the grid.  Either way it takes one of three paths, E folding with OR
+and A with AND:
+
+(a) z is grid variable i, as when phi_k re-binds x and y.  The body is
+    evaluated on the same grid.  The grid's binding of z is shadowed:
+    it is not free in the body, so digit i may hold the body's z.
+    k steps w = w op (w >> N^i·2^j), j < k, leave at each binding b
+    whose digit i is 0 the fold of bit b + d·N^i over every d < N,
+    which is b with z = d.  Nothing carries, since b's digit i is 0 and
+    d < N.  The other bindings are masked out, and k steps w |= w <<
+    N^i·2^j copy each kept bit to the N bindings that differ from it
+    in digit i alone, again without carries.  The value, which does
+    not depend on z, is the same along digit i.
+(b) z is new and N^(m+1) <= GRID_MAX_BITS.  z becomes the top digit m
+    and the body is evaluated on the bigger grid.  k halving steps fold
+    it down: each takes the low half op the high half, so binding
+    b < N^m ends with the fold of b + d·N^m over every d < N.  The top
+    digit is the highest, so nothing carries or is cut.  An empty grid
+    is left with one bit, the bool.
+(c) Otherwise, or when the body is itself a quantifier over z (under
+    any number of ~): z is read from env and its values are tried in
+    turn.  A bool stops at the first value that decides it, so prenex
+    chains are answered at the first witness, and a grid int is folded
+    across the values until it is all ones (E) or 0 (A).  If z was a
+    grid variable, the body is evaluated on the grid with z's digit
+    marked unread (the grid's binding of z is shadowed, as in (a)), so
+    its value is the same along that digit.
+
+GRID_MAX_BITS = 2^22 caps a grid at 512 KiB a plane: two variables
+over up to 11 atoms.  Path (b) is faster than (c) at every size
+measured, up to B(3,2), whose (x, y) grid is exactly the cap (see
+CHANGES.md).
 
 Each quantifier memoizes its value on the values of its free variables
-other than v: it depends on nothing else, so a quantifier nested under
-another is evaluated once per distinct outer binding, not once per
-element.  Planes are only built under a quantifier and by
-:func:`term_planes`, both of which refuse algebras with more elements
-than their budget; a formula without quantifiers is evaluated on masks
-alone, at any size.
+outside its grid.  The key is exact: the value depends only on the
+quantified formula's free variables, those in the grid are all held in
+the value, and the rest are in the key.  So a quantifier under path
+(c)'s loop is evaluated once per distinct binding of what it reads,
+not once per value tried.  Planes are only built under a quantifier
+and by :func:`term_planes`, both of which refuse algebras with more
+elements than their budget; a formula without quantifiers is
+evaluated on masks alone, at any size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import itemgetter, or_, xor
+from functools import reduce
+from operator import and_, itemgetter, or_, xor
 from typing import Optional
 
 from .algebra import Algebra, bits
@@ -63,12 +101,23 @@ def _parts(node) -> list:
     return [p for p in vars(node).values() if isinstance(p, (Term, Formula))]
 
 
+def _free_vars(node) -> frozenset:
+    """A node's free variables, computed once: nodes are immutable, so
+    the set is kept in the node's ``__dict__`` beside its fields."""
+    free = node.__dict__.get("_free")
+    if free is None:
+        if isinstance(node, Var):
+            free = frozenset((node.name,))
+        else:
+            free = frozenset().union(*map(_free_vars, _parts(node)))
+            if isinstance(node, (Exists, Forall)):
+                free -= {node.var}
+        node.__dict__["_free"] = free
+    return free
+
+
 class Term:
-    @property
-    def free_vars(self) -> frozenset:
-        if isinstance(self, Var):
-            return frozenset([self.name])
-        return frozenset().union(*(p.free_vars for p in _parts(self)))
+    free_vars = property(_free_vars)
 
 
 @dataclass(frozen=True)
@@ -115,10 +164,7 @@ def meet(u: Term, v: Term) -> Term:
 
 
 class Formula:
-    @property
-    def free_vars(self) -> frozenset:
-        free = frozenset().union(*(p.free_vars for p in _parts(self)))
-        return free - {self.var} if isinstance(self, (Exists, Forall)) else free
+    free_vars = property(_free_vars)
 
     @property
     def qdepth(self) -> int:
@@ -176,6 +222,7 @@ def quantifier_depth(f: Formula) -> int:
 # --- evaluation ---------------------------------------------------------------
 
 DEFAULT_MAX_ELEMENTS = 1 << 16  # 16 atoms: each plane is then 8 KiB
+GRID_MAX_BITS = 1 << 22  # the most bindings a grid holds: 512 KiB a plane
 
 
 class UnboundVariableError(KeyError):
@@ -204,95 +251,118 @@ def _scatter(row: list[int], q: list[int], k: int) -> list[int]:
     return out
 
 
+def _tile(block: int, period: int, size: int) -> int:
+    """``block`` repeated every ``period`` bits up to ``size`` bits, by
+    doubling; ``size / period`` is a power of 2."""
+    while period < size:
+        block |= block << period
+        period *= 2
+    return block
+
+
 class _Planes:
     """The closures of one evaluation over one algebra.
 
-    ``term(t, v)`` and ``formula(f, v)`` return ``(fn, free)``, where
-    ``free`` is the node's free variables and ``fn(env)`` its value.
-    When the column variable v is free in the node, that value is a
-    column over v: k planes for a term, an N-bit truth int for a
-    formula.  Otherwise it is a plain mask for a term and a bool for a
-    formula.  Every variable other than v is read from ``env``.
+    ``term(t, grid)`` and ``formula(f, grid)`` return ``(fn, free)``,
+    where ``free`` is the node's free variables and ``fn(env)`` its
+    value.  ``grid`` is a tuple of column variables, variable i being
+    digit i of a binding (``None`` marks a digit that nothing reads).
+    When ``free`` meets the grid, the value is held over the whole
+    grid: k planes for a term, a truth int for a formula, each of
+    N^len(grid) bits.  Otherwise it is a plain mask for a term and a
+    bool for a formula.  Every variable outside the grid is read from
+    ``env``.
     """
 
     def __init__(self, alg: Algebra, max_elements: int = DEFAULT_MAX_ELEMENTS):
         self.alg = alg
         self.max_elements = max_elements
+        self._cache: dict = {}  # (kind, *args) -> int or planes
 
-    @cached_property
-    def ones(self) -> int:
-        """The N-bit all-ones int; a node with no column never needs it."""
-        return (1 << self.alg.size) - 1
+    def ones(self, m: int) -> int:
+        """The all-ones int over an m-digit grid."""
+        got = self._cache.get(("ones", m))
+        if got is None:
+            got = self._cache["ones", m] = (1 << self.alg.size ** m) - 1
+        return got
 
-    @cached_property
-    def var_planes(self) -> list[int]:
-        """plane[a] = the elements that contain atom a, by shift-doubling."""
-        planes, n = [], self.alg.size
-        for a in range(self.alg.n_atoms):
-            run = 1 << a
-            plane, span = ((1 << run) - 1) << run, 2 * run
-            while span < n:
-                plane |= plane << span
-                span *= 2
-            planes.append(plane)
-        return planes
+    def var_planes(self, i: int, m: int) -> list[int]:
+        """plane[a] = the bindings of an m-digit grid whose digit i
+        contains atom a, i.e. those with bit i·k + a set."""
+        got = self._cache.get(("var", i, m))
+        if got is None:
+            size, k = self.alg.size ** m, self.alg.n_atoms
+            runs = [1 << (i * k + a) for a in range(k)]
+            got = self._cache["var", i, m] = [
+                _tile(((1 << run) - 1) << run, 2 * run, size) for run in runs]
+        return got
 
-    def lift(self, mask: int) -> list[int]:
+    def digit_zero(self, i: int, m: int) -> int:
+        """The bindings of an m-digit grid whose digit i is 0."""
+        got = self._cache.get(("zero", i, m))
+        if got is None:
+            n = self.alg.size
+            got = self._cache["zero", i, m] = _tile(
+                (1 << n ** i) - 1, n ** (i + 1), n ** m)
+        return got
+
+    def lift(self, mask: int, ones: int) -> list[int]:
         """The planes of a mask that does not vary: all-ones for the
         atoms in it, 0 for the others."""
-        ones = self.ones
         return [ones if mask >> a & 1 else 0 for a in range(self.alg.n_atoms)]
 
-    def as_planes(self, fn, col: bool):
+    def as_planes(self, fn, col: bool, grid):
         """A term's closure as planes, lifting it if it does not vary."""
         if col:
             return fn
-        lift = self.lift
-        return lambda env: lift(fn(env))
+        lift, ones = self.lift, self.ones(len(grid))
+        return lambda env: lift(fn(env), ones)
 
-    def as_column(self, fn, col: bool):
+    def as_column(self, fn, col: bool, grid):
         """A formula's closure as a truth int, 0 or ONES if it does not vary."""
         if col:
             return fn
-        ones = self.ones
+        ones = self.ones(len(grid))
         return lambda env: ones if fn(env) else 0
 
     # terms
-    def term(self, t: Term, v):
+    def term(self, t: Term, grid: tuple):
         alg = self.alg
         if isinstance(t, Var):
-            name, free = t.name, frozenset((t.name,))
-            if name == v:
-                planes = self.var_planes
+            name, free = t.name, t.free_vars
+            if name in grid:
+                planes = self.var_planes(grid.index(name), len(grid))
                 return (lambda env: planes), free
             return (lambda env: env[name]), free
         if isinstance(t, Const):
             val = {"0": 0, "1": alg.one, "1'": alg.identity_mask}[t.symbol]
             return (lambda env: val), frozenset()
         if isinstance(t, (Neg, Conv)):
-            arg, free = self.term(t.arg, v)
-            if v not in free:
+            arg, free = self.term(t.arg, grid)
+            if free.isdisjoint(grid):
                 op = alg.complement if isinstance(t, Neg) else alg.converse
                 return (lambda env: op(arg(env))), free
             if isinstance(t, Neg):
-                ones = self.ones
+                ones = self.ones(len(grid))
                 return (lambda env: [p ^ ones for p in arg(env)]), free
             conv = alg.conv_atom
             return (lambda env: list(map(arg(env).__getitem__, conv))), free
         if isinstance(t, (Join, Comp)):
-            left, lfree = self.term(t.left, v)
-            right, rfree = self.term(t.right, v)
+            left, lfree = self.term(t.left, grid)
+            right, rfree = self.term(t.right, grid)
             make = self._join if isinstance(t, Join) else self._comp
-            return make(left, v in lfree, right, v in rfree), lfree | rfree
+            lcol, rcol = not lfree.isdisjoint(grid), not rfree.isdisjoint(grid)
+            return make(left, lcol, right, rcol, grid), t.free_vars
         raise TypeError(f"not a term: {t!r}")
 
-    def _join(self, left, lcol, right, rcol):
+    def _join(self, left, lcol, right, rcol, grid):
         if not (lcol or rcol):
             return lambda env: left(env) | right(env)
-        left, right = self.as_planes(left, lcol), self.as_planes(right, rcol)
+        left = self.as_planes(left, lcol, grid)
+        right = self.as_planes(right, rcol, grid)
         return lambda env: list(map(or_, left(env), right(env)))
 
-    def _comp(self, left, lcol, right, rcol):
+    def _comp(self, left, lcol, right, rcol, grid):
         alg, k = self.alg, self.alg.n_atoms
         if not (lcol or rcol):
             return lambda env: alg.compose(left(env), right(env))
@@ -311,71 +381,102 @@ class _Planes:
         return lambda env: _scatter(alg.right_row(right(env)), left(env), k)
 
     # formulas
-    def formula(self, f: Formula, v):
+    def formula(self, f: Formula, grid: tuple):
         if isinstance(f, Eq):
-            left, lfree = self.term(f.left, v)
-            right, rfree = self.term(f.right, v)
-            lcol, rcol = v in lfree, v in rfree
-            free = lfree | rfree
+            left, lfree = self.term(f.left, grid)
+            right, rfree = self.term(f.right, grid)
+            lcol, rcol = not lfree.isdisjoint(grid), not rfree.isdisjoint(grid)
+            free = f.free_vars
             if not (lcol or rcol):
                 return (lambda env: left(env) == right(env)), free
-            left, right = self.as_planes(left, lcol), self.as_planes(right, rcol)
-            ones = self.ones
+            left = self.as_planes(left, lcol, grid)
+            right = self.as_planes(right, rcol, grid)
+            ones = self.ones(len(grid))
             return (lambda env: ones ^ reduce(
                 or_, map(xor, left(env), right(env)), 0)), free
         if isinstance(f, Not):
-            arg, free = self.formula(f.arg, v)
-            if v not in free:
+            arg, free = self.formula(f.arg, grid)
+            if free.isdisjoint(grid):
                 return (lambda env: not arg(env)), free
-            ones = self.ones
+            ones = self.ones(len(grid))
             return (lambda env: ones ^ arg(env)), free
         if isinstance(f, (And, Or)):
-            left, lfree = self.formula(f.left, v)
-            right, rfree = self.formula(f.right, v)
-            lcol, rcol = v in lfree, v in rfree
-            free = lfree | rfree
+            left, lfree = self.formula(f.left, grid)
+            right, rfree = self.formula(f.right, grid)
+            lcol, rcol = not lfree.isdisjoint(grid), not rfree.isdisjoint(grid)
+            free = f.free_vars
             if not (lcol or rcol):
                 if isinstance(f, And):
                     return (lambda env: left(env) and right(env)), free
                 return (lambda env: left(env) or right(env)), free
-            left, right = self.as_column(left, lcol), self.as_column(right, rcol)
+            left = self.as_column(left, lcol, grid)
+            right = self.as_column(right, rcol, grid)
             if isinstance(f, And):
                 return (lambda env: left(env) & right(env)), free
             return (lambda env: left(env) | right(env)), free
         if isinstance(f, (Exists, Forall)):
-            return self._quantifier(f, v)
+            return self._quantifier(f, grid)
         raise TypeError(f"not a formula: {f!r}")
 
-    def _quantifier(self, f, v):
+    def _quantifier(self, f, grid):
+        """Q z. body on paths (a), (b) and (c) of the module docstring."""
         _check_budget(self.alg, self.max_elements)
-        z, n, exists = f.var, self.alg.size, isinstance(f, Exists)
+        z, body_free = f.var, f.body.free_vars
+        if z not in body_free:  # Q z . body is the body: N >= 2 values of z
+            return self.formula(f.body, grid)
+        free, exists = f.free_vars, isinstance(f, Exists)
+        if free.isdisjoint(grid):
+            grid = ()  # the quantified formula is a bool
+        k, n, m = self.alg.n_atoms, self.alg.size, len(grid)
+        fold = or_ if exists else and_
         inner = f.body
         while isinstance(inner, Not):
             inner = inner.arg
-        if isinstance(inner, (Exists, Forall)) and z in inner.free_vars:
-            # a column over z would decide the inner quantifier at all N
-            # values of z; try them in turn and stop at the first that
-            # decides this one
-            body, free = self.formula(f.body, None)
+        if isinstance(inner, (Exists, Forall)) or (
+                z not in grid and n ** (m + 1) > GRID_MAX_BITS):
+            # (c) z's values in turn, read from env, so its digit (if it
+            # has one) is read by nothing under the body
+            grid = tuple(None if g == z else g for g in grid)
+            body, _ = self.formula(f.body, grid)
+            ones, none = (self.ones(m), 0) if grid else (True, False)
+            start, stop = (none, ones) if exists else (ones, none)
 
             def holds(env):
-                env = dict(env)
-
-                def at_z(e):
+                env, got = dict(env), start
+                for e in range(n):
                     env[z] = e
-                    return body(env)
+                    got = fold(got, body(env))
+                    if got == stop:
+                        break
+                return got
+        elif z in grid:
+            # (a) fold z's digit i in place, then spread it back
+            body, _ = self.formula(f.body, grid)
+            i = grid.index(z)
+            strides = [n ** i << j for j in range(k)]
+            keep = self.digit_zero(i, m)
 
-                found = map(at_z, range(n))
-                return any(found) if exists else all(found)
+            def holds(env):
+                got = body(env)
+                for s in strides:
+                    got = fold(got, got >> s)
+                got &= keep
+                for s in strides:
+                    got |= got << s
+                return got
         else:
-            body, free = self.formula(f.body, z)
-            body, ones = self.as_column(body, z in free), self.ones
-            if exists:
-                holds = lambda env: body(env) != 0
-            else:
-                holds = lambda env: body(env) == ones
-        free = free - {z}
-        others = tuple(sorted(free - {v}))
+            # (b) z as a new top digit m, folded down by halving; an
+            # empty grid is left with one bit, the formula's truth
+            body, _ = self.formula(f.body, grid + (z,))
+            halves = [(n ** m << j, (1 << (n ** m << j)) - 1)
+                      for j in reversed(range(k))]
+
+            def holds(env):
+                got = body(env)
+                for s, low in halves:
+                    got = fold(got >> s, got & low)
+                return got if grid else got == 1
+        others = tuple(sorted(free.difference(grid)))
         key = itemgetter(*others) if others else (lambda env: ())
         memo: dict = {}
 
@@ -383,15 +484,7 @@ class _Planes:
             bound = key(env)
             got = memo.get(bound)
             if got is None:
-                if v not in free:
-                    got = holds(env)
-                else:  # bit e: the formula at v = e
-                    env, got = dict(env), 0
-                    for e in range(n):
-                        env[v] = e
-                        if holds(env):
-                            got |= 1 << e
-                memo[bound] = got
+                got = memo[bound] = holds(env)
             return got
 
         return fn, free
@@ -403,9 +496,9 @@ def term_planes(t: Term, alg: Algebra) -> list[int]:
     ``BudgetExhausted`` above ``DEFAULT_MAX_ELEMENTS`` elements."""
     _check_budget(alg, DEFAULT_MAX_ELEMENTS)
     planes = _Planes(alg)
-    fn, free = planes.term(t, "x")
+    fn, free = planes.term(t, ("x",))
     _check_bound(free - {"x"}, {})
-    return list(planes.as_planes(fn, "x" in free)({}))
+    return list(planes.as_planes(fn, "x" in free, ("x",))({}))
 
 
 def evaluate(f: Formula, alg: Algebra, env: Optional[dict] = None,
@@ -413,18 +506,18 @@ def evaluate(f: Formula, alg: Algebra, env: Optional[dict] = None,
     """Evaluate a formula; its free variables must all be bound by env.
 
     Compiles the formula once, then evaluates each quantifier's body
-    over all N elements at once: a term there is k planes (bit e of
-    plane[a] set iff atom a is in its value at element e) and a formula
-    one N-bit truth int.  Each operation is exact bit by bit, as the
-    module docstring argues one operation at a time.  A quantifier's
-    memo key is the values of its free variables other than the one
-    its context varies.  A formula with a quantifier raises
+    on a grid of its variable and the enclosing ones, all their joint
+    values at once: a term there is k planes (bit b of plane[a] set iff
+    atom a is in its value at binding b) and a formula one truth int.
+    Each operation is exact bit by bit, as the module docstring argues
+    one operation at a time.  A quantifier's memo key is the values of
+    its free variables outside its grid.  A formula with a quantifier raises
     ``BudgetExhausted`` before anything is evaluated if the algebra has
     more than ``max_elements`` elements; one without needs no planes
     and is evaluated at any size.
     """
     env = dict(env) if env else {}
-    fn, free = _Planes(alg, max_elements).formula(f, None)
+    fn, free = _Planes(alg, max_elements).formula(f, ())
     _check_bound(free, env)
     return bool(fn(env))
 

@@ -148,17 +148,26 @@ class Cor33Strategy:
         if rb_left.t != rb_right.t:
             raise ValueError("structures have different red index sets")
         self.rb = {"L": rb_left, "R": rb_right}
+        # per side, each atom's same-named partner on the other side, or
+        # None for a green, which has no fixed partner
+        self.partner = {
+            side: [None if src.is_green(a)
+                   else src.rename_nongreens(dst, 1 << a).bit_length() - 1
+                   for a in range(src.structure.n_atoms)]
+            for side, src, dst in (("L", rb_left, rb_right), ("R", rb_right, rb_left))
+        }
 
     def respond(self, pos: PebblePosition, side: str, pebble: int, atom: int) -> int:
         """side is where the first player placed ("L" or "R")."""
-        src, dst = (self.rb[side], self.rb["R" if side == "L" else "L"])
         mine, theirs = (0, 1) if side == "L" else (1, 0)
         # covering: the atom is already pebbled, reuse that pebble's partner
         for k, pair in pos.items():
             if k != pebble and pair[mine] == atom:
                 return pair[theirs]
-        if not src.is_green(atom):
-            return src.rename_nongreens(dst, 1 << atom).bit_length() - 1
+        partner = self.partner[side][atom]
+        if partner is not None:
+            return partner
+        dst = self.rb["R" if side == "L" else "L"]
         # the moved pebble vacates its old pair, so pebble itself is skipped
         taken = {
             pair[theirs]

@@ -147,7 +147,7 @@ def forbidden_generators(s: int, t: int) -> list[tuple[str, str, str]]:
 def eval_term(t: Term, alg: Algebra, env: Optional[dict] = None) -> int:
     """The value of a term; its variables must all be bound by env."""
     env = dict(env) if env else {}
-    fn, free = _Planes(alg).term(t, None)
+    fn, free = _Planes(alg).term(t, ())
     _check_bound(free, env)
     return fn(env)
 

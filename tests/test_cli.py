@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from relalg import build_rainbow, rasfile
+from relalg import build_rainbow, logic, rasfile
 from relalg.cli import FAIL, INCONCLUSIVE, OK, USAGE, main
 
 
@@ -253,6 +253,17 @@ def test_eval_budget_flag(ras22, capsys):
     assert main(["eval", ras22, "--atleast", "10", "--budget", "1023"]) == INCONCLUSIVE
     assert capsys.readouterr().out.strip() == (
         "inconclusive: element budget 1023 is below the algebra's 2^10 elements")
+
+
+def test_eval_atleast_at_the_grid_cap(ras32, capsys):
+    # B(3,2) has 11 atoms: its two-variable grid of (2^11)^2 bindings is
+    # exactly the grid cap
+    assert (1 << 11) ** 2 == logic.GRID_MAX_BITS
+    assert main(["eval", ras32, "--atleast", "11"]) == OK
+    assert capsys.readouterr().out.strip() == "true"
+    assert main(["eval", ras32, "--atleast", "11", "--budget", "2047"]) == INCONCLUSIVE
+    assert capsys.readouterr().out.strip() == (
+        "inconclusive: element budget 2047 is below the algebra's 2^11 elements")
 
 
 def test_eval_over_budget_stops_at_once(tmp_path, capsys):

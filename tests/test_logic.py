@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
-from relalg import Algebra, Rainbow, build_rainbow, check_axioms
+from relalg import Algebra, Rainbow, build_rainbow, check_axioms, logic
 from relalg.atoms import make_structure
 from relalg.logic import (
     And,
@@ -376,9 +376,90 @@ def test_memo_and_environment_cases_match_naive_evaluator(alg):
          {"y": 0}),
         # a quantifier under ~ under another quantifier over its variable
         (Forall("y", Not(Exists("x", Eq(Comp(X, Y), X)))), {}),
+        # the inner E y re-binds y, which has a digit of the (x, y) grid,
+        # and tries its values in turn: A z must read y from env
+        (parse_formula("E x . ~(x = 0) & (E y . y < x & (E y . ~(A z . "
+                       "z ; y <= x | z = y)))"), {}),
+        (parse_formula("A x . x = 0 | (E y . y < x & ~(E y . ~(A z . "
+                       "z ; y <= x | z = y^)))"), {}),
     ]
     for f, env in cases:
         assert evaluate(f, alg, env) == naive_holds(f, alg, env), f
+
+
+# phi_k-shaped formulas in x: x and y re-bound three deep, with ~ and A
+# between the quantifiers; on a grid the innermost one re-binds digit 0
+# (y) or digit 1 (x) of the grid (y, x), and a body under ~ that is a
+# quantifier over its variable tries the values in turn
+PHI_SHAPED = [
+    "E y . y < x & ~(A x . ~(x < y) | (E y . y < x & ~(y = 0)))",
+    "E y . y < x & ~(A x . ~(x < y) | (E x . x < y & ~(x = 0)))",
+    "A y . ~(y < x) | (E x . x < y & ~(A y . ~(y < x) | y = x^))",
+    "A y . ~(y ; y^ <= x) | ~(E x . x < y & (A y . ~(y ; x = x) | x <= y^))",
+    "E y . y < x^ & ~(A x . ~(x < y ; y) | (E y . y < x & -y ; x = x))",
+    # true at every x, and only through the witness -x (or -y) of the
+    # innermost quantifier, which may hold any atom
+    "E y . y = x & ~(A x . ~(x = y) | ~(E y . y = -x))",
+    "A y . ~(y = x) | ~(A x . ~(x = -y) | ~(E x . x = -y ; id))",
+]
+
+
+@pytest.mark.parametrize("alg", [B11, S3], ids=["B11", "S3"])
+def test_phi_shaped_rebinding_matches_naive_evaluator(alg):
+    for text in PHI_SHAPED:
+        f = parse_formula(text)
+        for x in range(alg.size):
+            env = {"x": x}
+            assert evaluate(f, alg, env) == naive_holds(f, alg, env), (text, x)
+        for q in ("E", "A"):
+            g = parse_formula(f"{q} x . {text}")
+            assert evaluate(g, alg) == naive_holds(g, alg, {}), g
+
+
+@pytest.mark.parametrize("alg", [TINY, B11, S3], ids=["tiny", "B11", "S3"])
+@pytest.mark.parametrize("check", [
+    test_evaluate_matches_naive_evaluator,
+    test_quantified_shapes_match_naive_evaluator,
+    test_memo_and_environment_cases_match_naive_evaluator,
+    test_phi_shaped_rebinding_matches_naive_evaluator,
+], ids=["naive", "shapes", "memo", "phi-shaped"])
+def test_one_value_at_a_time_matches_naive_evaluator(check, alg, monkeypatch):
+    # with no room for a grid every quantifier tries its values in turn
+    monkeypatch.setattr(logic, "GRID_MAX_BITS", 1)
+    check(alg)
+
+
+def _grid_digits(monkeypatch) -> list:
+    """Record the digit count of every grid an evaluation builds."""
+    seen, ones = [], logic._Planes.ones
+
+    def spy(self, m):
+        seen.append(m)
+        return ones(self, m)
+
+    monkeypatch.setattr(logic._Planes, "ones", spy)
+    return seen
+
+
+@pytest.mark.parametrize("alg, cap, digits", [
+    (B11, B11.size ** 2, 2),      # the (y, x) grid is exactly the cap
+    (B11, B11.size ** 2 - 1, 1),  # one binding short: x's values in turn
+    (B21, B11.size ** 2, 1),      # the next size up is over the cap
+], ids=["B11-at-cap", "B11-below", "B21-above"])
+def test_cardinality_sentences_at_the_grid_cap(alg, cap, digits, monkeypatch):
+    monkeypatch.setattr(logic, "GRID_MAX_BITS", cap)
+    seen = _grid_digits(monkeypatch)
+    for k in range(1, alg.n_atoms + 2):
+        assert evaluate(cardinality_sentence(k), alg) == count_atoms_oracle(alg, k), k
+    assert max(seen) == digits
+
+
+def test_closed_quantifier_under_a_grid_builds_no_grid(monkeypatch):
+    # A y meets no variable of the grid (x) around it: it is a bool,
+    # decided on its own column over y, not on the (x, y) grid
+    seen = _grid_digits(monkeypatch)
+    assert evaluate(parse_formula("E x . x = 1 & (A y . y ; 0 = 0)"), B11)
+    assert max(seen) == 1
 
 
 @pytest.fixture(scope="module")
