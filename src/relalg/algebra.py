@@ -166,23 +166,19 @@ class Algebra:
         return "{" + ", ".join(self.structure.names[a] for a in bits(x)) + "}"
 
     @cached_property
-    def consistent_pairs_by_third(self) -> list[list[tuple[int, int]]]:
-        """For each atom c, the non-identity pairs (a, b) with (a,b,c) consistent."""
+    def moves_by_third(self) -> list[tuple[tuple[int, int], ...]]:
+        """For each atom c, the pairs (a, mask of b) over non-identity a
+        and b with (a, b, c) consistent, ascending in a; a with no such b
+        is left out.  The network game reads its demands on an edge
+        labelled c from row c."""
         k = self.n_atoms
-        ident = self.structure.identity
-        table: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-        for c in range(k):
-            cb = 1 << c
-            for a in range(k):
-                if a in ident:
-                    continue
-                row = self.comp[a]
-                for b in range(k):
-                    if b in ident:
-                        continue
-                    if row[b] & cb:
-                        table[c].append((a, b))
-        return table
+        plain = self.one ^ self.identity_mask
+        table: list[list[int]] = [[0] * k for _ in range(k)]  # [c][a] -> b mask
+        for a in bits(plain):
+            for b in bits(plain):
+                for c in bits(self.comp[a][b]):
+                    table[c][a] |= 1 << b
+        return [tuple((a, m) for a, m in enumerate(row) if m) for row in table]
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,9 @@ which return a :class:`~relalg.verdict.Verdict`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from operator import itemgetter
+from typing import Iterator, NamedTuple, Optional
 
 from .algebra import Algebra, bits
 from .rainbow import BLACK, GREEN0, WHITE, YELLOW, Rainbow
@@ -26,8 +27,9 @@ class StrategyFailure(Exception):
     """The witness strategy has no legal label (e.g. no injection exists)."""
 
 
-@dataclass(frozen=True)
-class ForallMove:
+class ForallMove(NamedTuple):
+    """The universal player's demand: a node z with l(x,z) = a, l(z,y) = b."""
+
     x: int
     y: int
     a: int
@@ -119,23 +121,31 @@ def _coherent_at_new_node(net: Network, alg: Algebra) -> Optional[tuple[int, int
 
 
 def legal_moves(net: Network, alg: Algebra) -> list[ForallMove]:
-    """All legal non-trivial moves, in (x, y, a, b) lexicographic order.
+    """The legal non-trivial moves, one of each mirror pair, in (x, y, a, b)
+    lexicographic order.
 
     Moves with an identity-atom component are excluded, as are trivial
-    moves (ones already witnessed by an existing node).
+    moves (ones already witnessed by an existing node).  A move
+    (x, y, a, b) and its mirror (y, x, b~, a~) demand the same witness
+    node, so only the lesser is emitted: the one with x <= y.  At x = y
+    the two are one move, as the loop's identity atom is in a;b only for
+    b = a~ in the validated structure :class:`~relalg.algebra.Algebra`
+    requires.  For each edge x <= y the labels b witnessed after each a,
+    l(x,z) = a and l(z,y) = b, are gathered as a mask per a; the demands
+    are row l(x,y) of ``Algebra.moves_by_third`` less them.
     """
     n = net.n
     lab = net.lab
-    pairs = alg.consistent_pairs_by_third
+    table = alg.moves_by_third
     out = []
     for x in range(n):
-        for y in range(n):
-            c = lab[x * n + y]
-            for a, b in pairs[c]:
-                for z in range(n):
-                    if lab[x * n + z] == a and lab[z * n + y] == b:
-                        break
-                else:
+        row = lab[x * n : x * n + n]
+        for y in range(x, n):
+            seen: dict[int, int] = {}
+            for a, b in zip(row, lab[y::n]):
+                seen[a] = seen.get(a, 0) | 1 << b
+            for a, bs in table[row[y]]:
+                for b in bits(bs & ~seen.get(a, 0)):
                     out.append(ForallMove(x, y, a, b))
     return out
 
@@ -345,20 +355,21 @@ def rainbow_exists_strategy(
 # canonical forms for search deduplication
 
 
-def canonical_state(net: Network, book: Book) -> bytes:
-    """A canonical key for (network, book) up to node renaming.
+def _invariant_orders(net: Network) -> Iterator[tuple[int, ...]]:
+    """Every node order that sorts the nodes by an invariant, as
+    new index -> old node; the first keeps each group of equal
+    invariants in node order.
 
-    Nodes are grouped and ordered by an invariant, the loop label and
-    sorted row, which an isomorphism preserves (it maps a node's row
-    onto its image's row); so isomorphic states reach the same
-    relabellings over the permutations inside the groups, and the least
-    is the key.  With labels in converse pairs the invariant splits and
-    orders nodes as the sorted (out, in) label pairs would.
+    The invariant is the loop label and sorted row, which a renaming
+    preserves (it maps a node's row onto its image's row).  So two
+    isomorphic networks reach the same relabellings over their orders,
+    and an automorphism maps each group onto itself.  With labels in
+    converse pairs the invariant splits and orders nodes as the sorted
+    (out, in) label pairs would.
     """
     n = net.n
     lab = net.lab
-    rows = [lab[u * n : u * n + n] for u in range(n)]
-    inv = [(rows[u][u], sorted(rows[u])) for u in range(n)]
+    inv = [(lab[u * n + u], sorted(lab[u * n : u * n + n])) for u in range(n)]
     order = sorted(range(n), key=inv.__getitem__)
     # consecutive equal-invariant groups
     groups = []
@@ -368,15 +379,37 @@ def canonical_state(net: Network, book: Book) -> bytes:
             groups.append(order[start:i])
             start = i
     if len(groups) == n:
-        perms = [order]
-    else:
-        perms = (
-            [u for part in parts for u in part]
-            for parts in itertools.product(*map(itertools.permutations, groups))
-        )
+        return iter((tuple(order),))
+    return (
+        tuple(u for part in parts for u in part)
+        for parts in itertools.product(*map(itertools.permutations, groups))
+    )
+
+
+@lru_cache(maxsize=1 << 12)
+def _relabeller(n: int, perm: tuple[int, ...]):
+    """A function from a label tuple to the labels renamed by ``perm``
+    (new index -> old node), as a tuple."""
+    if n == 1:  # itemgetter of one index returns the item, not a tuple
+        return lambda lab: (lab[0],)
+    return itemgetter(*[p * n + q for p in perm for q in perm])
+
+
+def canonical_state(net: Network, book: Book) -> bytes:
+    """A canonical key for (network, book) up to node renaming.
+
+    Isomorphic states reach the same relabellings over the orders of
+    :func:`_invariant_orders`, and the least relabelling, then the least
+    renamed book, is the key.
+    """
+    n = net.n
+    lab = net.lab
+    orders = _invariant_orders(net)
+    if not book:
+        return bytes(min(_relabeller(n, perm)(lab) for perm in orders)) + b"()"
     best = None
-    for perm in perms:  # new index -> old node
-        relab = bytes(rows[p][q] for p in perm for q in perm)
+    for perm in orders:
+        relab = _relabeller(n, perm)(lab)
         if best is not None and relab > best[0]:
             continue
         pos = {old: i for i, old in enumerate(perm)}
@@ -385,7 +418,32 @@ def canonical_state(net: Network, book: Book) -> bytes:
         if best is None or key < best:
             best = key
     relab, bkey = best
-    return relab + repr(bkey).encode()
+    return bytes(relab) + repr(bkey).encode()
+
+
+def node_automorphisms(net: Network, book: Book) -> list[tuple[int, ...]]:
+    """Aut(net, book): the node renamings that keep every label and the
+    book, as tuples node -> image, the identity first.
+
+    An automorphism keeps the invariant of :func:`_invariant_orders`, so
+    it maps the first order onto another order with the same
+    relabelling; each order with that relabelling gives one.
+    """
+    n = net.n
+    lab = net.lab
+    orders = _invariant_orders(net)
+    base = next(orders)
+    same = _relabeller(n, base)(lab)
+    out = [tuple(range(n))]
+    for perm in orders:
+        if _relabeller(n, perm)(lab) != same:
+            continue
+        pi = [0] * n
+        for u, v in zip(base, perm):
+            pi[u] = v
+        if all(book.get((pi[u], pi[v])) == h for (u, v), h in book.items()):
+            out.append(tuple(pi))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -411,18 +469,42 @@ def verify_exists_strategy(
     max_states: int = DEFAULT_MAX_STATES,
     check_invariants: bool = False,
 ) -> Verdict:
-    """Exhaustively play every opponent line against the witness strategy.
+    """Play the opponent's lines against the witness strategy, up to the
+    reductions below.
 
-    Round 0 ranges over all opening atoms; rounds 1..rounds-1 over all
-    legal non-trivial moves.  The verdict is "verified" iff every
-    reachable network is coherent, "counterexample" with a transcript of
-    the losing play otherwise, and "inconclusive" if a network reaches
-    DEFAULT_MAX_NODES nodes or more than ``max_states`` states are
-    explored first.
+    Round 0 ranges over all opening atoms; rounds 1..rounds-1 over the
+    legal non-trivial moves of :func:`legal_moves`.  The verdict is
+    "verified" when every network the search reaches is coherent,
+    "counterexample" with a transcript of the losing play otherwise, and
+    "inconclusive" if a network reaches DEFAULT_MAX_NODES nodes or more
+    than ``max_states`` states are explored first.
+
+    The reductions rest on one premise: the strategy's reply depends only
+    on (network, book) up to node renaming, so it commutes with renaming,
+    and it reads a demand as the two edges it forces, so a move and its
+    mirror (y, x, b~, a~) get the same reply.
+
+    * Dedup: each child is keyed by :func:`canonical_state`, and a key
+      already visited is not expanded again.  The key does not hold the
+      rounds left, so a class first reached deep is never expanded when
+      it comes back shallower: from rounds 3 on the search is truncated,
+      and "verified" says only that every line explored was won (B(2,2)
+      explores the same 135 states at rounds 2 and at rounds 3).
+    * Orbits: for each expanded parent Aut(net, book) is computed once
+      (:func:`node_automorphisms`), and only the first move of each
+      orbit of Aut x mirror, in the order of :func:`legal_moves`, is
+      answered.  For pi in Aut, the reply to pi(m), or to its mirror, is
+      the reply to m renamed by pi (the new node fixed), with the same
+      key.  m comes first, so when pi(m) comes up either the search has
+      already returned or m's key is in the visited set and pi(m) is a
+      dedup hit, which changes nothing.  States, verdicts, transcripts
+      and budget cut points are therefore those of the search that
+      answers every move.
     """
     check_counts(rounds=rounds, max_states=max_states)
     st = rb.structure
-    alg = Algebra(st)
+    alg = rb.algebra
+    conv = st.conv
     visited: set[bytes] = set()
     counter = [0]
 
@@ -431,11 +513,16 @@ def verify_exists_strategy(
             return None
         if net.n >= DEFAULT_MAX_NODES:
             return Verdict("inconclusive", reason="node budget", states=counter[0])
+        group = node_automorphisms(net, book)
+        covered: set[tuple[int, int, int, int]] = set()
         for move in legal_moves(net, alg):
-            # (x,y,a,b) and (y,x,b~,a~) demand the same witness; do one
-            mirror = (move.y, move.x, st.conv[move.b], st.conv[move.a])
-            if mirror < (move.x, move.y, move.a, move.b):
+            if move in covered:
                 continue
+            if len(group) > 1:
+                x, y, a, b = move
+                for pi in group:
+                    covered.add((pi[x], pi[y], a, b))
+                    covered.add((pi[y], pi[x], conv[b], conv[a]))
             try:
                 net2, book2 = rainbow_exists_strategy(rb, net, book, move)
             except StrategyFailure as exc:
@@ -594,7 +681,7 @@ def verify_forall_refutation(
     injection of green indices into red indices exists (pigeonhole).
     """
     check_counts(max_rounds=max_rounds, max_states=max_states)
-    alg = Algebra(rb.structure)
+    alg = rb.algebra
     # the opening is round 0, so max_rounds leaves max_rounds - 1 moves
     moves = rainbow_refuter_moves(rb)[: max(max_rounds - 1, 0)]
     counter = [0]

@@ -43,7 +43,9 @@ forbidden mask is the union of the rules that speak about its two atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
+from .algebra import Algebra
 from .atoms import MAX_ATOMS, AtomStructure
 
 # the fixed atom layout: 1', b, w, y, then the greens, then the reds
@@ -146,6 +148,12 @@ class Rainbow:
         if s < 1 or t < 1 or list(names) != atom_names(s, t):
             raise ValueError("atom names do not match a rainbow structure")
         return cls(s=s, t=t, structure=structure)
+
+    @cached_property
+    def algebra(self) -> Algebra:
+        """The complex algebra, built on first use and then shared, with
+        the tables it builds lazily, by every search on this structure."""
+        return Algebra(self.structure)
 
     def green(self, i: int) -> int:
         if not 0 <= i < self.s:

@@ -11,6 +11,9 @@
   closed form.
 * Oracles for the logic tests: a term's value and the cardinality
   sentence's truth.
+* The network game's move rule read literally: every legal non-trivial
+  move, mirrors included, which the package emits from mask tables and
+  one of each mirror pair.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Optional
 from relalg.algebra import Algebra
 from relalg.atoms import AtomStructure, peircean_transforms
 from relalg.logic import Term, _check_bound, _Planes
+from relalg.networks import ForallMove, Network
 from relalg.rainbow import atom_names
 
 # --- triple sets and mask tables ---------------------------------------------
@@ -155,3 +159,35 @@ def eval_term(t: Term, alg: Algebra, env: Optional[dict] = None) -> int:
 def count_atoms_oracle(alg: Algebra, k: int) -> bool:
     """Independent popcount oracle for the cardinality sentence."""
     return any(bin(x).count("1") >= k for x in range(alg.size))
+
+
+# --- network game moves ------------------------------------------------------
+
+
+def all_legal_moves(net: Network, alg: Algebra) -> list[ForallMove]:
+    """All legal non-trivial moves, in (x, y, a, b) lexicographic order:
+    non-identity a and b with (a, b, l(x,y)) consistent and no node z
+    with l(x,z) = a and l(z,y) = b."""
+    st = alg.structure
+    k = st.n_atoms
+    ident = st.identity
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for c in range(k):
+        for a in range(k):
+            if a in ident:
+                continue
+            for b in range(k):
+                if b not in ident and alg.comp[a][b] >> c & 1:
+                    pairs[c].append((a, b))
+    n = net.n
+    lab = net.lab
+    out = []
+    for x in range(n):
+        for y in range(n):
+            for a, b in pairs[lab[x * n + y]]:
+                for z in range(n):
+                    if lab[x * n + z] == a and lab[z * n + y] == b:
+                        break
+                else:
+                    out.append(ForallMove(x, y, a, b))
+    return out

@@ -5,13 +5,21 @@ triangles and red cliques through the new node, a one-pass canonical
 key, and mask-pruned refutation replies.  This file keeps test-local
 copies of the whole-network checks they replaced and holds the fast
 engine to identical verdicts, and the new key to the same classes.
+
+The survival search also answers one move per orbit of its parent's
+node automorphisms, from a move generator that works on masks: the
+last section holds it to the plain search that answers every move, the
+automorphisms to a brute force over all renamings, and the generator to
+the move rule read literally (``reference.all_legal_moves``).
 """
 
+import functools
 import itertools
 import random
 from dataclasses import astuple
 
 import pytest
+from reference import all_legal_moves
 
 from relalg import Algebra, Rainbow, networks
 from relalg.networks import (
@@ -384,3 +392,129 @@ def test_canonical_state_is_the_old_key_with_mixed_loops():
         net = Network(n, tuple(lab))
         book = {(0, n - 1): (1, 0)} if n > 1 else {}
         assert networks.canonical_state(net, book) == full_canonical_state(net, book)
+
+
+# ---------------------------------------------------------------------------
+# the orbit filter and the move generator
+
+ORBIT_CASES = CASES + [
+    ("exists B(2, 2) rounds 4", lambda: verify_exists_strategy(RB[2, 2], 4))]
+EXISTS_RUNS = [(2, 2, 2), (2, 2, 3), (2, 3, 2), (2, 3, 3), (3, 2, 4), (4, 3, 4), (2, 2, 4)]
+
+
+def identity_only(net, book):
+    return [tuple(range(net.n))]
+
+
+@pytest.mark.parametrize("run", [c[1] for c in ORBIT_CASES], ids=[c[0] for c in ORBIT_CASES])
+def test_orbit_filter_matches_plain_search(run, monkeypatch):
+    filtered = run()
+    monkeypatch.setattr(networks, "node_automorphisms", identity_only)
+    assert astuple(run()) == astuple(filtered)
+
+
+def test_orbit_filter_answers_fewer_moves(monkeypatch):
+    def run():
+        return verify_exists_strategy(RB[2, 2], 3)
+
+    filtered = len(calls_to("rainbow_exists_strategy", run))
+    monkeypatch.setattr(networks, "node_automorphisms", identity_only)
+    assert filtered < len(calls_to("rainbow_exists_strategy", run))
+
+
+@functools.cache
+def reached_parents():
+    """(rainbow, network, book) of every parent the survival searches of
+    ``EXISTS_RUNS`` expand, each state once."""
+    out = {}
+    for s, t, rounds in EXISTS_RUNS:
+        rb = RB[s, t]
+        for net, book in calls_to("node_automorphisms",
+                                  lambda: verify_exists_strategy(rb, rounds)):
+            out.setdefault((s, t, net.lab, tuple(sorted(book.items()))), (rb, net, book))
+    return list(out.values())
+
+
+def attack_states():
+    """B(2, 2) after the white opening and the two-green attack on (0, 1),
+    and every child the strategy answers from there: states with a book."""
+    rb = RB[2, 2]
+    net, book = networks.initial_response(rb.algebra, WHITE), {}
+    for i in range(2):
+        net, book = networks.rainbow_exists_strategy(
+            rb, net, book, ForallMove(0, 1, rb.green(i), YELLOW))
+    out = [(rb, net, book)]
+    for move in all_legal_moves(net, rb.algebra):
+        try:
+            out.append((rb, *networks.rainbow_exists_strategy(rb, net, book, move)))
+        except StrategyFailure:
+            pass
+    return out
+
+
+def brute_automorphisms(net, book):
+    n = net.n
+    lab = net.lab
+    return [
+        pi for pi in itertools.permutations(range(n))
+        if all(lab[pi[u] * n + pi[v]] == lab[u * n + v] for u in range(n) for v in range(n))
+        and {(pi[u], pi[v]): h for (u, v), h in book.items()} == book
+    ]
+
+
+def test_automorphisms_match_brute_force():
+    states = reached_parents() + attack_states()
+    # a made-up book entry on every reached parent, which may break symmetries
+    states += [(rb, net, {(0, net.n - 1): (1, 0)}) for rb, net, _ in reached_parents()]
+    assert sum(bool(book) for _, _, book in states) > 100
+    sizes = []
+    for _, net, book in states:
+        group = networks.node_automorphisms(net, book)
+        assert group[0] == tuple(range(net.n))
+        assert sorted(group) == brute_automorphisms(net, book)
+        sizes.append((len(group), len(brute_automorphisms(net, {}))))
+    assert max(g for g, _ in sizes) > 2
+    assert any(g < plain for g, plain in sizes)  # some book breaks a symmetry
+
+
+def child_key(rb, net, book, move):
+    try:
+        return networks.canonical_state(*networks.rainbow_exists_strategy(rb, net, book, move))
+    except StrategyFailure:
+        return None
+
+
+def test_strategy_commutes_with_automorphisms():
+    # the premise of the orbit filter: for pi in Aut(net, book), pi(m) and
+    # its mirror are legal moves too, and their child is m's child renamed
+    # (the parents with no symmetry but the identity check only mirrors)
+    renamed_moves = 0
+    for rb, net, book in reached_parents() + attack_states():
+        conv = rb.structure.conv
+        group = networks.node_automorphisms(net, book)
+        if len(group) == 1:
+            continue
+        keys = {move: child_key(rb, net, book, move)
+                for move in all_legal_moves(net, rb.algebra)}
+        for pi in group:
+            for x, y, a, b in keys:
+                key = keys[x, y, a, b]
+                assert keys[pi[x], pi[y], a, b] == key
+                assert keys[pi[y], pi[x], conv[b], conv[a]] == key
+                renamed_moves += (pi[x], pi[y]) != (x, y)
+    assert renamed_moves > 1000
+
+
+def test_legal_moves_are_the_mirror_least_of_the_move_rule():
+    diagonal_reds = 0
+    for rb, net, _ in reached_parents():
+        conv = rb.structure.conv
+        literal = all_legal_moves(net, rb.algebra)
+        mirrors = [(m.y, m.x, conv[m.b], conv[m.a]) for m in literal]
+        # a move on a loop is its own mirror
+        assert all(m == mm for m, mm in zip(literal, mirrors) if m.x == m.y)
+        moves = networks.legal_moves(net, rb.algebra)
+        assert moves == [m for m, mm in zip(literal, mirrors) if m <= mm]
+        assert all(type(m) is ForallMove for m in moves)
+        diagonal_reds += sum(m.x == m.y and conv[m.a] != m.a for m in moves)
+    assert diagonal_reds > 100

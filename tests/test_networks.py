@@ -205,3 +205,18 @@ def test_verify_forall_refutation_two_rounds_play_one_move():
     assert res.status == "counterexample"
     rounds = [line.split(" |")[0] for line in res.transcript]
     assert rounds == ["round 0", "round 1"]
+
+
+def test_searches_share_the_rainbow_algebra(monkeypatch):
+    # the algebra and its lazily built tables are made once per Rainbow
+    rb = Rainbow.make(2, 2)
+    verify_exists_strategy(rb, 2)
+    verify_forall_refutation(rb, 3)
+    assert "moves_by_third" in vars(rb.algebra)
+    built = []
+    init = Algebra.__init__
+    monkeypatch.setattr(Algebra, "__init__",
+                        lambda self, st: built.append(st) or init(self, st))
+    verify_exists_strategy(rb, 2)
+    verify_forall_refutation(rb, 3)
+    assert built == []
