@@ -94,8 +94,11 @@ def coherent(net: Network, alg: Algebra) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _coherent_at_new_node(net: Network, alg: Algebra) -> Optional[tuple[int, int, int]]:
-    """:func:`coherent` for a network whose last node z is the only new one.
+def _new_node_masks(alg: Algebra, lab, m: int, x: int, y: int) -> tuple[int, int]:
+    """Masks (A, B) that decide the coherence of a child network of m
+    nodes, given as its row-major label list ``lab``, whose last node z
+    answers a demand on x-y: the child is coherent iff l(x,z) is in A,
+    l(z,y) is in B and l(x,y) is in l(x,z);l(z,y).
 
     Sound when the rest of the network is coherent, z's loop is an
     identity atom and each z edge carries the converse of its reverse,
@@ -103,21 +106,30 @@ def _coherent_at_new_node(net: Network, alg: Algebra) -> Optional[tuple[int, int
     validated one :class:`~relalg.algebra.Algebra` requires.  Its
     identity coherence then settles every triangle with a repeated node,
     and its Peircean closure makes the six orderings of a triangle
-    {u, v, z} consistent together, so one ordering u < v < z is checked:
-    C(n-1, 2) lookups, not n³.  On a failure the full check runs, so the
-    triangle reported is the one :func:`coherent` finds first.
+    consistent together, so one ordering of each triangle {u, v, z} is
+    checked.  With u, v outside {x, y} the triangle reads neither forced
+    label, and if one fails both masks are empty.  {x, w, z} holds iff
+    l(x,z) is in comp[l(x,w)][l(w,z)], so A is the meet of those over w;
+    {w, y, z} holds iff l(z,y) is in comp[l(z,w)][l(w,y)], so B is the
+    meet of those; {x, y, z} is the third condition.  The labels at
+    x-z, z-x, y-z and z-y are not read, so a list with them unset gives
+    the masks of every child that differs from it only there.
     """
-    n = net.n
-    z = n - 1
-    lab = net.lab
     comp = alg.comp
-    col = lab[z::n]  # col[u] = l(u, z)
-    for u in range(z):
+    z = m - 1
+    others = [w for w in range(z) if w != x and w != y]
+    col = lab[z::m]  # col[u] = l(u, z)
+    row = lab[z * m : z * m + m]  # row[u] = l(z, u)
+    for i, u in enumerate(others):
         luz = col[u]
-        for luv, lvz in zip(lab[u * n + u + 1 : u * n + z], col[u + 1 : z]):
-            if not comp[luv][lvz] >> luz & 1:
-                return coherent(net, alg)
-    return None
+        for v in others[i + 1 :]:
+            if not comp[lab[u * m + v]][col[v]] >> luz & 1:
+                return 0, 0
+    mask_a = mask_b = alg.one
+    for w in others:
+        mask_a &= comp[lab[x * m + w]][col[w]]
+        mask_b &= comp[row[w]][lab[w * m + y]]
+    return mask_a, mask_b
 
 
 def legal_moves(net: Network, alg: Algebra) -> list[ForallMove]:
@@ -250,6 +262,19 @@ def _record_new_cliques(net: Network, rb: Rainbow, book: Book) -> Book:
     return out
 
 
+def _grown_labels(net: Network, st) -> list[int]:
+    """The label list of ``net`` grown by a node z = n: the old labels
+    copied, z's loop an identity atom, and every other z edge 0."""
+    n = net.n
+    lab = net.lab
+    m = n + 1
+    new = [0] * (m * m)
+    for u in range(n):
+        new[u * m : u * m + n] = lab[u * n : u * n + n]
+    new[n * m + n] = next(iter(st.identity))
+    return new
+
+
 def _new_node_labels(net: Network, st, move: ForallMove) -> Optional[list[int]]:
     """The label list of ``net`` grown by a node z = n that answers ``move``.
 
@@ -262,14 +287,9 @@ def _new_node_labels(net: Network, st, move: ForallMove) -> Optional[list[int]]:
     x, y, a, b = move.x, move.y, move.a, move.b
     if x == y and st.conv[a] != b:
         return None
-    n = net.n
-    lab = net.lab
-    z = n
-    m = n + 1
-    new = [0] * (m * m)
-    for u in range(n):
-        new[u * m : u * m + n] = lab[u * n : u * n + n]
-    new[z * m + z] = next(iter(st.identity))
+    new = _grown_labels(net, st)
+    m = net.n + 1
+    z = net.n
     new[x * m + z] = a
     new[z * m + x] = st.conv[a]
     new[z * m + y] = b
@@ -286,100 +306,228 @@ def rainbow_exists_strategy(
     black when exactly one side pairs greens, and red inside the relevant
     red clique, where the recorded injection dictates the indices.
     Raises StrategyFailure when no suitable red label exists (which can
-    only happen with more greens than red indices).
+    only happen with more greens than red indices).  A one-shot
+    :meth:`Expansion.child`, which holds the strategy.
     """
-    st = rb.structure
-    n = net.n
-    lab = net.lab
-    x, y, a, b = move.x, move.y, move.a, move.b
-    g_end = GREEN0 + rb.s
-    a_green, b_green = GREEN0 <= a < g_end, GREEN0 <= b < g_end
+    return Expansion(rb, net, book).child(move)
 
-    # which red clique (if any) the new node joins
-    ckey = None
-    if a_green and b == YELLOW:
-        ckey = (x, y)
-        move_green = a
-    elif a == YELLOW and b_green:
-        ckey = (y, x)
-        move_green = b
-    members: list[int] = []
-    h: Optional[tuple[int, ...]] = None
-    if ckey is not None:
-        members = red_clique(net, rb, *ckey)
-        if len(members) >= 2:
-            if ckey not in book:
-                raise StrategyFailure(f"no injection recorded for R{ckey}")
-            h = book[ckey]
-        elif len(members) == 1:
-            h = least_injection(rb.s, rb.t, {})
 
-    new = _new_node_labels(net, st, move)
-    if new is None:
-        raise StrategyFailure("inconsistent reflexive move")
-    z = n
-    m = n + 1
+class Expansion:
+    """The witness strategy's children of one parent (net, book), from a
+    table filled lazily per move class.
 
-    cx, cy = (ckey if ckey is not None else (x, y))
-    for w in range(n):
-        if w == x or w == y:
-            continue
-        la = lab[w * n + x]
-        lb = lab[w * n + y]
-        green_x = a_green and GREEN0 <= la < g_end
-        green_y = b_green and GREEN0 <= lb < g_end
-        if not green_x and not green_y:
-            c = WHITE
-        elif green_x and not (lb == YELLOW and b == YELLOW):
-            c = BLACK
-        elif green_y and not (la == YELLOW and a == YELLOW):
-            c = BLACK
-        else:
-            # w is in the clique the new node joins
-            assert h is not None and w in members
-            iw = rb.green_index(lab[cx * n + w])
-            iz = rb.green_index(move_green)
-            c = rb.red(h[iw], h[iz])
-        new[w * m + z] = c
-        new[z * m + w] = st.conv[c]
+    A move (x, y, a, b)'s class is (x, y, c(a), c(b)), where c is
+    :attr:`~relalg.rainbow.Rainbow.move_colour`: the atom itself when it
+    is green or yellow, else -1.  Each entry is worked out on the class's
+    first move and read by the class's later moves; it holds either the
+    strategy's failure text or
 
-    net2 = Network(m, tuple(new))
-    book2 = dict(book)
-    if h is not None and len(members) == 1 and ckey not in book2:
-        book2[ckey] = h
-    book2 = _record_new_cliques(net2, rb, book2)
-    return net2, book2
+    * the child's label list with the strategy's w-z labels written in
+      (w outside {x, y}) and the x-z and z-y labels unset,
+    * the book after the clique the class joins, if any,
+    * whether the child's red cliques must be re-checked,
+    * the coherence masks of :func:`_new_node_masks`.
+
+    Each item is argued exact where it is built, in :meth:`_move_class`.
+    The canonical key of a child reads each old node's invariant from a
+    per-parent memo (:meth:`key`), so only the new node's is worked out
+    per child.  The table only caches: every child, book, failure text,
+    verdict and key is the one the per-move strategy, :func:`coherent`
+    and :func:`canonical_state` give.
+    """
+
+    __slots__ = ("rb", "net", "book", "_alg", "_grown", "_classes", "_invariants")
+
+    def __init__(self, rb: Rainbow, net: Network, book: Book):
+        self.rb = rb
+        self.net = net
+        self.book = book
+        self._alg = rb.algebra
+        self._grown = _grown_labels(net, rb.structure)
+        self._classes: dict = {}
+        self._invariants: dict[tuple[int, int], bytes] = {}
+
+    def _entry(self, move: ForallMove):
+        x, y, a, b = move
+        colour = self.rb.move_colour
+        cls = (x, y, colour[a], colour[b])
+        entry = self._classes.get(cls)
+        if entry is None:
+            try:
+                entry = self._move_class(*cls)
+            except StrategyFailure as exc:
+                entry = str(exc)
+            self._classes[cls] = entry
+        return entry
+
+    def _move_class(self, x: int, y: int, ca: int, cb: int) -> tuple:
+        """The table entry of class (x, y, ca, cb); raises StrategyFailure
+        when the strategy has no reply to any move of the class.
+
+        Exactness: the strategy reads a only as "green" (ca >= GREEN0),
+        "yellow" (ca == YELLOW) and, in the red case, as the green it is
+        (ca), and b the same way, so the clique key, h, the new book
+        entry, the failures raised here and every w-z label depend on
+        the move only through its class.  The book is re-checked only
+        when a and b are both green or yellow: the strategy never puts
+        green or yellow on a w-z edge, and both colours are
+        self-converse, so z's green and yellow neighbours lie in {x, y}.
+        If a (or b) is neither, they lie in {y} (or {x}), so z has no
+        green neighbour with a yellow one and at most one of each, and
+        :func:`_record_new_cliques` finds no clique that z joins or
+        anchors and returns the book unchanged.  With both, the class
+        holds a single move.  The masks read only the w-z labels (see
+        :func:`_new_node_masks`).
+        """
+        rb = self.rb
+        net = self.net
+        book = self.book
+        conv = rb.structure.conv
+        n = net.n
+        lab = net.lab
+        g_end = GREEN0 + rb.s
+        a_green, b_green = ca >= GREEN0, cb >= GREEN0
+
+        # which red clique (if any) the new node joins
+        ckey = None
+        if a_green and cb == YELLOW:
+            ckey = (x, y)
+            move_green = ca
+        elif ca == YELLOW and b_green:
+            ckey = (y, x)
+            move_green = cb
+        members: list[int] = []
+        h: Optional[tuple[int, ...]] = None
+        if ckey is not None:
+            members = red_clique(net, rb, *ckey)
+            if len(members) >= 2:
+                if ckey not in book:
+                    raise StrategyFailure(f"no injection recorded for R{ckey}")
+                h = book[ckey]
+            elif len(members) == 1:
+                h = least_injection(rb.s, rb.t, {})
+
+        new = self._grown.copy()
+        z = n
+        m = n + 1
+        cx = ckey[0] if ckey is not None else x
+        for w in range(n):
+            if w == x or w == y:
+                continue
+            la = lab[w * n + x]
+            lb = lab[w * n + y]
+            green_x = a_green and GREEN0 <= la < g_end
+            green_y = b_green and GREEN0 <= lb < g_end
+            if not green_x and not green_y:
+                c = WHITE
+            elif green_x and not (lb == YELLOW and cb == YELLOW):
+                c = BLACK
+            elif green_y and not (la == YELLOW and ca == YELLOW):
+                c = BLACK
+            else:
+                # w is in the clique the new node joins
+                assert h is not None and w in members
+                iw = rb.green_index(lab[cx * n + w])
+                iz = rb.green_index(move_green)
+                c = rb.red(h[iw], h[iz])
+            new[w * m + z] = c
+            new[z * m + w] = conv[c]
+
+        book2 = dict(book)
+        if h is not None and len(members) == 1 and ckey not in book2:
+            book2[ckey] = h
+        recheck = ca >= 0 and cb >= 0
+        mask_a, mask_b = _new_node_masks(self._alg, new, m, x, y)
+        return new, book2, recheck, mask_a, mask_b
+
+    def child(self, move: ForallMove) -> tuple[Network, Book]:
+        """The strategy's reply to ``move``: the class's labels with a, a~,
+        b and b~ written in, and the class's book, re-checked if need be.
+        Raises StrategyFailure as :func:`rainbow_exists_strategy` does."""
+        entry = self._entry(move)
+        if type(entry) is str:
+            raise StrategyFailure(entry)
+        x, y, a, b = move
+        conv = self.rb.structure.conv
+        if x == y and conv[a] != b:
+            raise StrategyFailure("inconsistent reflexive move")
+        new, book2, recheck = entry[0].copy(), entry[1], entry[2]
+        m = self.net.n + 1
+        z = m - 1
+        new[x * m + z] = a
+        new[z * m + x] = conv[a]
+        new[z * m + y] = b
+        new[y * m + z] = conv[b]
+        net2 = Network(m, tuple(new))
+        if recheck:
+            book2 = _record_new_cliques(net2, self.rb, book2)
+        return net2, book2
+
+    def is_coherent(self, move: ForallMove, net2: Network) -> bool:
+        """Whether :meth:`child`'s reply ``net2`` to ``move`` is coherent,
+        by the class's masks (:func:`_new_node_masks`).  ``net2`` is not
+        read; it is what a whole-network check in this place reads."""
+        _, _, _, mask_a, mask_b = self._entry(move)
+        x, y, a, b = move
+        return bool(mask_a >> a & 1 and mask_b >> b & 1
+                    and self._alg.comp[a][b] >> self.net.lab[x * self.net.n + y] & 1)
+
+    def key(self, net2: Network, book2: Book) -> bytes:
+        """:func:`canonical_state` of a child (net2, book2) of this parent.
+
+        An old node u keeps its loop, and its row is the parent's with
+        l(u,z) appended, so its invariant is memoized per (u, l(u,z)).
+        """
+        n = self.net.n
+        lab = self.net.lab
+        m = net2.n
+        z = m - 1
+        lab2 = net2.lab
+        memo = self._invariants
+        inv = []
+        for uc in zip(range(z), lab2[z::m]):
+            if uc not in memo:
+                u, c = uc
+                memo[uc] = _invariant(lab[u * n + u], (*lab[u * n : u * n + n], c))
+            inv.append(memo[uc])
+        inv.append(_invariant(lab2[z * m + z], lab2[z * m :]))
+        return _state_key(m, lab2, book2, inv)
 
 
 # ---------------------------------------------------------------------------
 # canonical forms for search deduplication
 
 
-def _invariant_orders(net: Network) -> Iterator[tuple[int, ...]]:
-    """Every node order that sorts the nodes by an invariant, as
-    new index -> old node; the first keeps each group of equal
-    invariants in node order.
+def _invariant(loop: int, row) -> bytes:
+    """A node's invariant: its loop label, then its sorted row.
 
-    The invariant is the loop label and sorted row, which a renaming
-    preserves (it maps a node's row onto its image's row).  So two
-    isomorphic networks reach the same relabellings over their orders,
-    and an automorphism maps each group onto itself.  With labels in
-    converse pairs the invariant splits and orders nodes as the sorted
-    (out, in) label pairs would.
+    A renaming preserves it (it maps a node's row onto its image's row).
+    With labels in converse pairs it splits and orders nodes as the
+    sorted (out, in) label pairs would.  Rows of one network have one
+    length, so the bytes order as the (loop, sorted row) pairs do.
     """
+    return bytes((loop, *sorted(row)))
+
+
+def _invariants(net: Network) -> list[bytes]:
     n = net.n
     lab = net.lab
-    inv = [(lab[u * n + u], sorted(lab[u * n : u * n + n])) for u in range(n)]
+    return [_invariant(lab[u * n + u], lab[u * n : u * n + n]) for u in range(n)]
+
+
+def _invariant_orders(n: int, inv: list[bytes]) -> Iterator[tuple[int, ...]]:
+    """Every node order that sorts the n nodes by their invariants
+    ``inv`` (see :func:`_invariant`), as new index -> old node; the
+    first keeps each group of equal invariants in node order.
+
+    Two isomorphic networks reach the same relabellings over their
+    orders, and an automorphism maps each group onto itself.
+    """
     order = sorted(range(n), key=inv.__getitem__)
-    # consecutive equal-invariant groups
-    groups = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or inv[order[i]] != inv[order[start]]:
-            groups.append(order[start:i])
-            start = i
-    if len(groups) == n:
+    if len(set(inv)) == n:
         return iter((tuple(order),))
+    # consecutive equal-invariant groups
+    groups = [list(g) for _, g in itertools.groupby(order, inv.__getitem__)]
     return (
         tuple(u for part in parts for u in part)
         for parts in itertools.product(*map(itertools.permutations, groups))
@@ -402,9 +550,16 @@ def canonical_state(net: Network, book: Book) -> bytes:
     :func:`_invariant_orders`, and the least relabelling, then the least
     renamed book, is the key.
     """
-    n = net.n
-    lab = net.lab
-    orders = _invariant_orders(net)
+    return _state_key(net.n, net.lab, book, _invariants(net))
+
+
+def _state_key(n: int, lab: tuple, book: Book, inv: list) -> bytes:
+    """:func:`canonical_state` of the n-node labels ``lab`` and ``book``,
+    given the node invariants ``inv``."""
+    if not book and len(set(inv)) == n:  # one order, one relabelling
+        perm = tuple(sorted(range(n), key=inv.__getitem__))
+        return bytes(_relabeller(n, perm)(lab)) + b"()"
+    orders = _invariant_orders(n, inv)
     if not book:
         return bytes(min(_relabeller(n, perm)(lab) for perm in orders)) + b"()"
     best = None
@@ -425,13 +580,13 @@ def node_automorphisms(net: Network, book: Book) -> list[tuple[int, ...]]:
     """Aut(net, book): the node renamings that keep every label and the
     book, as tuples node -> image, the identity first.
 
-    An automorphism keeps the invariant of :func:`_invariant_orders`, so
-    it maps the first order onto another order with the same
-    relabelling; each order with that relabelling gives one.
+    An automorphism keeps the invariants of :func:`_invariants`, so it
+    maps the first order of :func:`_invariant_orders` onto another order
+    with the same relabelling; each order with that relabelling gives one.
     """
     n = net.n
     lab = net.lab
-    orders = _invariant_orders(net)
+    orders = _invariant_orders(n, _invariants(net))
     base = next(orders)
     same = _relabeller(n, base)(lab)
     out = [tuple(range(n))]
@@ -500,6 +655,13 @@ def verify_exists_strategy(
       dedup hit, which changes nothing.  States, verdicts, transcripts
       and budget cut points are therefore those of the search that
       answers every move.
+    * Move classes: each parent's children come from one
+      :class:`Expansion`, whose table is filled per move class and only
+      caches; it is asked for each child in the order above.  That order
+      matters: the dedup key ignores the rounds left, so which children
+      are expanded, and so ``states``, depends on the order in which
+      they are keyed, and answering moves class by class would change
+      both.
     """
     check_counts(rounds=rounds, max_states=max_states)
     st = rb.structure
@@ -514,6 +676,7 @@ def verify_exists_strategy(
         if net.n >= DEFAULT_MAX_NODES:
             return Verdict("inconclusive", reason="node budget", states=counter[0])
         group = node_automorphisms(net, book)
+        table = Expansion(rb, net, book)
         covered: set[tuple[int, int, int, int]] = set()
         for move in legal_moves(net, alg):
             if move in covered:
@@ -524,23 +687,24 @@ def verify_exists_strategy(
                     covered.add((pi[x], pi[y], a, b))
                     covered.add((pi[y], pi[x], conv[b], conv[a]))
             try:
-                net2, book2 = rainbow_exists_strategy(rb, net, book, move)
+                net2, book2 = table.child(move)
             except StrategyFailure as exc:
                 line = (f"{_forall_prefix(depth, move, st.names)} | exists: "
                         f"strategy failure: {exc}")
                 return Verdict("counterexample", [line],
                                "the witness strategy has no reply", states=counter[0])
-            tri = _coherent_at_new_node(net2, alg)
+            ok = table.is_coherent(move, net2)
             if check_invariants:
-                assert tri == coherent(net2, alg), "incremental coherence check"
-            if tri is not None:
-                res = Verdict("counterexample", [f"incoherent triangle {tri}"],
+                assert ok == (coherent(net2, alg) is None), "mask coherence check"
+            if not ok:
+                res = Verdict("counterexample", [f"incoherent triangle {coherent(net2, alg)}"],
                               "the witness strategy made an incoherent network",
                               states=counter[0])
             else:
+                key = table.key(net2, book2)
                 if check_invariants:
                     assert_strategy_invariants(rb, net, net2, book2, move)
-                key = canonical_state(net2, book2)
+                    assert key == canonical_state(net2, book2), "class-fixed key"
                 if key in visited:
                     continue
                 visited.add(key)

@@ -186,6 +186,14 @@ class Rainbow:
     def green_mask(self) -> int:
         return ((1 << self.s) - 1) << GREEN0
 
+    @cached_property
+    def move_colour(self) -> tuple[int, ...]:
+        """Per atom, the colour the network strategy reads a demand's
+        atom by: the atom itself when it is yellow or green, else -1."""
+        g_end = GREEN0 + self.s
+        return tuple(a if YELLOW <= a < g_end else -1
+                     for a in range(len(self.structure.names)))
+
     def rename_nongreens(self, dst: "Rainbow", mask: int) -> int:
         """The non-green atoms of ``mask`` as the same-named atoms of ``dst``.
 

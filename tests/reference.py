@@ -14,6 +14,8 @@
 * The network game's move rule read literally: every legal non-trivial
   move, mirrors included, which the package emits from mask tables and
   one of each mirror pair.
+* The witness strategy worked out move by move, which the package
+  works out once per move class.
 """
 
 from __future__ import annotations
@@ -25,8 +27,17 @@ from typing import Optional
 from relalg.algebra import Algebra
 from relalg.atoms import AtomStructure, peircean_transforms
 from relalg.logic import Term, _check_bound, _Planes
-from relalg.networks import ForallMove, Network
-from relalg.rainbow import atom_names
+from relalg.networks import (
+    Book,
+    ForallMove,
+    Network,
+    StrategyFailure,
+    _new_node_labels,
+    _record_new_cliques,
+    least_injection,
+    red_clique,
+)
+from relalg.rainbow import BLACK, GREEN0, WHITE, YELLOW, Rainbow, atom_names
 
 # --- triple sets and mask tables ---------------------------------------------
 
@@ -191,3 +202,77 @@ def all_legal_moves(net: Network, alg: Algebra) -> list[ForallMove]:
                 else:
                     out.append(ForallMove(x, y, a, b))
     return out
+
+
+def reference_exists_strategy(
+    rb: Rainbow, net: Network, book: Book, move: ForallMove
+) -> tuple[Network, Book]:
+    """The witness player's response: one new node, labels by colour case.
+
+    New edges towards old nodes are white when no green conflict looms,
+    black when exactly one side pairs greens, and red inside the relevant
+    red clique, where the recorded injection dictates the indices.
+    Raises StrategyFailure when no suitable red label exists (which can
+    only happen with more greens than red indices).
+    """
+    st = rb.structure
+    n = net.n
+    lab = net.lab
+    x, y, a, b = move.x, move.y, move.a, move.b
+    g_end = GREEN0 + rb.s
+    a_green, b_green = GREEN0 <= a < g_end, GREEN0 <= b < g_end
+
+    # which red clique (if any) the new node joins
+    ckey = None
+    if a_green and b == YELLOW:
+        ckey = (x, y)
+        move_green = a
+    elif a == YELLOW and b_green:
+        ckey = (y, x)
+        move_green = b
+    members: list[int] = []
+    h: Optional[tuple[int, ...]] = None
+    if ckey is not None:
+        members = red_clique(net, rb, *ckey)
+        if len(members) >= 2:
+            if ckey not in book:
+                raise StrategyFailure(f"no injection recorded for R{ckey}")
+            h = book[ckey]
+        elif len(members) == 1:
+            h = least_injection(rb.s, rb.t, {})
+
+    new = _new_node_labels(net, st, move)
+    if new is None:
+        raise StrategyFailure("inconsistent reflexive move")
+    z = n
+    m = n + 1
+
+    cx, cy = (ckey if ckey is not None else (x, y))
+    for w in range(n):
+        if w == x or w == y:
+            continue
+        la = lab[w * n + x]
+        lb = lab[w * n + y]
+        green_x = a_green and GREEN0 <= la < g_end
+        green_y = b_green and GREEN0 <= lb < g_end
+        if not green_x and not green_y:
+            c = WHITE
+        elif green_x and not (lb == YELLOW and b == YELLOW):
+            c = BLACK
+        elif green_y and not (la == YELLOW and a == YELLOW):
+            c = BLACK
+        else:
+            # w is in the clique the new node joins
+            assert h is not None and w in members
+            iw = rb.green_index(lab[cx * n + w])
+            iz = rb.green_index(move_green)
+            c = rb.red(h[iw], h[iz])
+        new[w * m + z] = c
+        new[z * m + w] = st.conv[c]
+
+    net2 = Network(m, tuple(new))
+    book2 = dict(book)
+    if h is not None and len(members) == 1 and ckey not in book2:
+        book2[ckey] = h
+    book2 = _record_new_cliques(net2, rb, book2)
+    return net2, book2

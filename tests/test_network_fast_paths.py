@@ -7,10 +7,15 @@ copies of the whole-network checks they replaced and holds the fast
 engine to identical verdicts, and the new key to the same classes.
 
 The survival search also answers one move per orbit of its parent's
-node automorphisms, from a move generator that works on masks: the
-last section holds it to the plain search that answers every move, the
+node automorphisms, from a move generator that works on masks: a later
+section holds it to the plain search that answers every move, the
 automorphisms to a brute force over all renamings, and the generator to
 the move rule read literally (``reference.all_legal_moves``).
+
+Each parent's children come from a table filled once per move class
+(``networks.Expansion``): the last section holds its children, books,
+failures, verdicts and keys to the strategy worked out move by move
+(``reference.reference_exists_strategy``) and to the full checks.
 """
 
 import functools
@@ -19,10 +24,11 @@ import random
 from dataclasses import astuple
 
 import pytest
-from reference import all_legal_moves
+from reference import all_legal_moves, reference_exists_strategy
 
 from relalg import Algebra, Rainbow, networks
 from relalg.networks import (
+    Expansion,
     ForallMove,
     Network,
     StrategyFailure,
@@ -186,11 +192,25 @@ def full_exists_replies(net, alg, move):
     yield from assign(0)
 
 
+def full_is_coherent(table, move, net2):
+    return full_coherent(net2, table.rb.algebra) is None
+
+
+def full_key(table, net2, book2):
+    return full_canonical_state(net2, book2)
+
+
+FULL_CHECKS = [
+    (Expansion, "is_coherent", full_is_coherent),
+    (Expansion, "key", full_key),
+    (networks, "_record_new_cliques", full_record_new_cliques),
+    (networks, "_exists_replies", full_exists_replies),
+]
+
+
 def use_full_checks(mp):
-    mp.setattr(networks, "_coherent_at_new_node", full_coherent)
-    mp.setattr(networks, "_record_new_cliques", full_record_new_cliques)
-    mp.setattr(networks, "canonical_state", full_canonical_state)
-    mp.setattr(networks, "_exists_replies", full_exists_replies)
+    for owner, name, full in FULL_CHECKS:
+        mp.setattr(owner, name, full)
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +246,9 @@ def test_full_checks_are_the_ones_patched(monkeypatch):
     # a search under the full checks must call each of them
     seen = set()
     with monkeypatch.context() as mp:
-        use_full_checks(mp)
-        for name in ("_coherent_at_new_node", "_record_new_cliques",
-                     "canonical_state", "_exists_replies"):
-            fn = getattr(networks, name)
-            mp.setattr(networks, name,
-                       lambda *a, fn=fn, name=name: seen.add(name) or fn(*a))
+        for owner, name, full in FULL_CHECKS:
+            mp.setattr(owner, name,
+                       lambda *a, fn=full, name=name: seen.add(name) or fn(*a))
         verify_exists_strategy(RB[2, 2], 3)
         verify_forall_refutation(RB[3, 2], 5)
     assert len(seen) == 4
@@ -241,17 +258,18 @@ def test_full_checks_are_the_ones_patched(monkeypatch):
 # each check on its own, incoherent and broken children included
 
 
-def calls_to(name, run):
-    """The arguments of every call ``run()`` makes to networks.<name>."""
+def calls_to(name, run, owner=networks):
+    """The arguments of every call ``run()`` makes to <owner>.<name>
+    (for a method, the instance first)."""
     out = []
-    real = getattr(networks, name)
+    real = getattr(owner, name)
 
     def record(*args):
         out.append(args)
         return real(*args)
 
     mp = pytest.MonkeyPatch()
-    mp.setattr(networks, name, record)
+    mp.setattr(owner, name, record)
     try:
         run()
     finally:
@@ -267,20 +285,32 @@ def with_edge(net, u, z, c, conv):
     return Network(n, tuple(lab))
 
 
+def mask_verdict(child, x, y, alg):
+    """Whether ``child``, whose last node answers a demand on x-y, is
+    coherent by the masks of ``networks._new_node_masks``."""
+    z = child.n - 1
+    mask_a, mask_b = networks._new_node_masks(alg, child.lab, child.n, x, y)
+    a, b = child.label(x, z), child.label(z, y)
+    return bool(mask_a >> a & 1 and mask_b >> b & 1
+                and alg.comp[a][b] >> child.label(x, y) & 1)
+
+
 def test_coherence_at_new_node_matches_full_check():
-    # every atom on every edge of the last node of each child: the
-    # incremental check agrees with the full one, incoherent ones included
+    # every atom on every edge of the last node of each child: the mask
+    # verdict agrees with the full check, incoherent ones included
     rb = RB[2, 2]
     st = rb.structure
+    alg = rb.algebra
     failures = 0
-    for net, alg in calls_to("_coherent_at_new_node",
-                             lambda: verify_exists_strategy(rb, 3)):
+    for table, move, net in calls_to("is_coherent",
+                                     lambda: verify_exists_strategy(rb, 3), Expansion):
+        assert table.is_coherent(move, net) == (networks.coherent(net, alg) is None)
         for u in range(net.n - 1):
             for c in range(st.n_atoms):
                 child = with_edge(net, u, net.n - 1, c, st.conv)
-                tri = networks._coherent_at_new_node(child, alg)
-                assert tri == networks.coherent(child, alg)
-                failures += tri is not None
+                ok = mask_verdict(child, move.x, move.y, alg)
+                assert ok == (networks.coherent(child, alg) is None)
+                failures += not ok
     assert failures > 1000
 
 
@@ -348,7 +378,8 @@ def test_replies_match_full_enumeration():
 
 def reached_states(rb, rounds):
     """Every (network, book) the search keys, in call order."""
-    return calls_to("canonical_state", lambda: verify_exists_strategy(rb, rounds))
+    calls = calls_to("key", lambda: verify_exists_strategy(rb, rounds), Expansion)
+    return [(net, book) for _, net, book in calls]
 
 
 def renamed(net, book, perm):
@@ -417,9 +448,9 @@ def test_orbit_filter_answers_fewer_moves(monkeypatch):
     def run():
         return verify_exists_strategy(RB[2, 2], 3)
 
-    filtered = len(calls_to("rainbow_exists_strategy", run))
+    filtered = len(calls_to("child", run, Expansion))
     monkeypatch.setattr(networks, "node_automorphisms", identity_only)
-    assert filtered < len(calls_to("rainbow_exists_strategy", run))
+    assert filtered < len(calls_to("child", run, Expansion))
 
 
 @functools.cache
@@ -518,3 +549,61 @@ def test_legal_moves_are_the_mirror_least_of_the_move_rule():
         assert all(type(m) is ForallMove for m in moves)
         diagonal_reds += sum(m.x == m.y and conv[m.a] != m.a for m in moves)
     assert diagonal_reds > 100
+
+
+# ---------------------------------------------------------------------------
+# the move-class table
+
+
+def reply(strategy, *args):
+    try:
+        return strategy(*args)
+    except StrategyFailure as exc:
+        return str(exc)
+
+
+def test_move_class_table_matches_per_move_strategy():
+    # every legal move of every reached parent and of the two-green
+    # attack, from one table per parent: the child, book and failure text
+    # of the per-move strategy, and the full checks' verdict and key
+    failures = changed = coherent = 0
+    for rb, net, book in reached_parents() + attack_states()[:1]:
+        table = Expansion(rb, net, book)
+        for move in all_legal_moves(net, rb.algebra):
+            ref = reply(reference_exists_strategy, rb, net, book, move)
+            assert reply(table.child, move) == ref
+            if isinstance(ref, str):
+                failures += 1
+                continue
+            net2, book2 = ref
+            changed += book2 != book
+            ok = table.is_coherent(move, net2)
+            assert ok == (networks.coherent(net2, rb.algebra) is None)
+            coherent += ok
+            assert table.key(net2, book2) == networks.canonical_state(net2, book2)
+    assert failures > 5 and changed > 20 and coherent > 100_000
+
+
+def test_move_classes_fix_the_strategy_labels():
+    # no class holds two moves whose w-z labels (w outside {x, y}) differ
+    shared = 0
+    for rb, net, book in reached_parents() + attack_states()[:1]:
+        colour = rb.move_colour
+        z = net.n
+        labels = {}
+        for move in all_legal_moves(net, rb.algebra):
+            ref = reply(reference_exists_strategy, rb, net, book, move)
+            if isinstance(ref, str):
+                continue
+            col = tuple(ref[0].label(w, z) for w in range(z) if w not in (move.x, move.y))
+            cls = (move.x, move.y, colour[move.a], colour[move.b])
+            shared += cls in labels
+            assert labels.setdefault(cls, col) == col
+    assert shared > 1000
+
+
+@pytest.mark.parametrize("s,t,rounds", EXISTS_RUNS[:6])
+def test_search_invariants_hold(s, t, rounds):
+    # the benchmark's exists cases with every per-child assertion on
+    checked = verify_exists_strategy(RB[s, t], rounds, check_invariants=True)
+    assert astuple(checked) == astuple(verify_exists_strategy(RB[s, t], rounds))
