@@ -5,18 +5,23 @@ some palette ends up with unequal small cells.  Large enough equal-ish
 sets survive n rounds, small lopsided ones do not.
 """
 
-from relalg.seurat import (SeuratPosition, SeuratSession, brute_force_winner,
-                           forall_wins, verify_seurat_strategy)
+from relalg.seurat import (SeuratSession, brute_force_winner, forall_wins,
+                           verify_seurat_strategy)
 
 print("exact one-round values:")
 for t, t2 in ((2, 3), (3, 3), (4, 4), (2, 2)):
     print(f"  G_1({t}, {t2}): {brute_force_winner(t, t2, 1)} wins")
 
-print("\na session of G_2 on two 8-point sets:")
-session = SeuratSession(2, range(8), range(8))
-for attack in ({0, 1, 2}, {0, 3, 4, 5}):
+
+def points(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+print("\na session of G_2 on two 8-point sets (bit i = point i):")
+session = SeuratSession(2, 0xFF, 0xFF)
+for attack in (0b111, 0b111001):
     reply = session.play("T", attack)
-    print(f"  attack {sorted(attack)} -> reply {sorted(reply)}")
+    print(f"  attack {points(attack)} -> reply {points(reply)}")
 print("  first player wins?", forall_wins(session.pos) is not None)
 
 print("\nexhaustive check of the balancing strategy, G_1 on 4 vs 4:")

@@ -228,10 +228,10 @@ class Prop44Strategy:
     non-green atoms, driven by one colouring session per play.
 
     The green atoms of the first player's element name a subset of its
-    structure's green index set; that subset is played into the
-    colouring session (side "T" for structure A, "T2" for B), and the
-    response is the identically-named non-green part plus the greens
-    indexed by the session's reply.
+    structure's green index set; that subset, as an index mask, is
+    played into the colouring session (side "T" for structure A, "T2"
+    for B), and the response is the identically-named non-green part
+    plus the greens indexed by the session's reply mask.
     """
 
     def __init__(self, rb_a: Rainbow, rb_b: Rainbow):
@@ -240,17 +240,13 @@ class Prop44Strategy:
         self.rb_a, self.rb_b = rb_a, rb_b
 
     def start(self, n: int) -> SeuratSession:
-        return SeuratSession(n, range(self.rb_a.s), range(self.rb_b.s))
+        return SeuratSession(n, (1 << self.rb_a.s) - 1, (1 << self.rb_b.s) - 1)
 
     def respond(self, session: SeuratSession, side: str, elem: int) -> int:
         src, dst, set_side = ((self.rb_a, self.rb_b, "T") if side == "A"
                               else (self.rb_b, self.rb_a, "T2"))
-        chosen = frozenset(src.green_index(a) for a in src.greens if elem >> a & 1)
-        reply = session.play(set_side, chosen)
-        out = src.rename_nongreens(dst, elem)
-        for i in reply:
-            out |= 1 << dst.green(i)
-        return out
+        reply = session.play(set_side, src.green_indices(elem))
+        return src.rename_nongreens(dst, elem) | dst.green_atoms(reply)
 
 
 # ---------------------------------------------------------------------------

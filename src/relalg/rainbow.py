@@ -186,6 +186,20 @@ class Rainbow:
     def green_mask(self) -> int:
         return ((1 << self.s) - 1) << GREEN0
 
+    def green_indices(self, mask: int) -> int:
+        """The green atoms of ``mask`` as a mask of green indices (bit i
+        for g_i); the other atoms are ignored."""
+        return (mask & self.green_mask) >> GREEN0
+
+    def green_atoms(self, indices: int) -> int:
+        """The atom mask of the greens g_i for the bits i of ``indices``.
+
+        Raises ValueError if an index is not below s.
+        """
+        if indices >> self.s:
+            raise ValueError("green index out of range")
+        return indices << GREEN0
+
     @cached_property
     def move_colour(self) -> tuple[int, ...]:
         """Per atom, the colour the network strategy reads a demand's

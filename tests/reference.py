@@ -16,11 +16,17 @@
   one of each mirror pair.
 * The witness strategy worked out move by move, which the package
   works out once per move class.
+* The colouring game on point sets: a cell of frozensets for each of
+  the 2^n palettes, the balancing reply and the strategy check read
+  literally on them, which the package plays on one int-mask cell per
+  non-empty palette of the rounds played.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import random
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import product
 from typing import Optional
 
@@ -38,6 +44,8 @@ from relalg.networks import (
     red_clique,
 )
 from relalg.rainbow import BLACK, GREEN0, WHITE, YELLOW, Rainbow, atom_names
+from relalg.seurat import SeuratStrategyFailure
+from relalg.verdict import Verdict, check_counts
 
 # --- triple sets and mask tables ---------------------------------------------
 
@@ -276,3 +284,251 @@ def reference_exists_strategy(
         book2[ckey] = h
     book2 = _record_new_cliques(net2, rb, book2)
     return net2, book2
+
+
+# --- the colouring game on point sets -----------------------------------------
+# The set-based core the package replaced with one int-mask cell per palette
+# of the rounds played: every one of the 2^n palettes holds a pair of
+# frozensets, and a reply takes the smallest points of a cell.
+
+
+@dataclass(frozen=True)
+class SeuratPosition:
+    """Cells of every palette after r of n rounds."""
+
+    n: int
+    r: int
+    cells: dict  # palette bit mask (over rounds 0..n-1) -> (set_T, set_T')
+
+    @classmethod
+    def initial(cls, n: int, t_set, t2_set) -> "SeuratPosition":
+        t_set, t2_set = frozenset(t_set), frozenset(t2_set)
+        return cls(n=n, r=0, cells={p: (t_set, t2_set) for p in range(1 << n)})
+
+
+def apply_round(pos: SeuratPosition, t_r, t2_r) -> SeuratPosition:
+    """Split every palette cell by membership in the round's subsets."""
+    if pos.r >= pos.n:
+        raise ValueError("round overflow")
+    t_r, t2_r = frozenset(t_r), frozenset(t2_r)
+    bit = 1 << pos.r
+    cells = {}
+    for palette, (a, b) in pos.cells.items():
+        if palette & bit:
+            cells[palette] = (a & t_r, b & t2_r)
+        else:
+            cells[palette] = (a - t_r, b - t2_r)
+    return SeuratPosition(n=pos.n, r=pos.r + 1, cells=cells)
+
+
+def _lost(p: int, q: int, bound: int) -> bool:
+    """A cell of sizes (p, q) breaks a rule: the sizes differ and one is
+    below ``bound``, 2 for the loss rule and 2^(n+1-r) for the invariant."""
+    return p != q and min(p, q) < bound
+
+
+def forall_wins(pos: SeuratPosition) -> Optional[int]:
+    """The witness palette if the position is a first-player win, else None."""
+    for palette, (a, b) in pos.cells.items():
+        if _lost(len(a), len(b), 2):
+            return palette
+    return None
+
+
+def dagger_holds(pos: SeuratPosition) -> bool:
+    """The survival invariant: small cells must have equal sizes.
+
+    At position r, any palette whose cell on either side is smaller than
+    2^(n+1-r) must have cells of equal size on both sides.
+    """
+    bound = 1 << (pos.n + 1 - pos.r)
+    return not any(_lost(len(a), len(b), bound) for a, b in pos.cells.values())
+
+
+def lemma43_strategy(pos: SeuratPosition, chosen, side: str) -> frozenset:
+    """The second player's size-balancing reply.
+
+    ``chosen`` is the opponent's subset of T (side="T") or of T'
+    (side="T2").  Per palette, the response sub-cell is sized by four
+    cases keyed on whether the two split parts fall below 2^(n-r);
+    "any subset" choices take the smallest elements of the cell.
+    Raises SeuratStrategyFailure when a case demands more points than
+    the cell holds (only possible once the invariant is already broken).
+    """
+    if pos.r >= pos.n:
+        raise SeuratStrategyFailure("no rounds left")
+    m = 1 << (pos.n - pos.r)
+    chosen = frozenset(chosen)
+    reply: set = set()
+    for palette, (a, b) in pos.cells.items():
+        mine, theirs = (a, b) if side == "T" else (b, a)
+        n_in = len(mine & chosen)
+        n_out = len(mine) - n_in
+        if n_in < m:
+            size = n_in
+        elif n_out < m:
+            size = len(theirs) - n_out
+        else:
+            size = m
+        if size < 0 or size > len(theirs):
+            raise SeuratStrategyFailure(
+                f"palette {palette:b}: need {size} of {len(theirs)} points"
+            )
+        reply.update(sorted(theirs)[:size])
+    return frozenset(reply)
+
+
+def _cell_survival(n: int, replies, bound):
+    """``survives(p, q, r)``: one cell of sizes (p, q), after r of n
+    rounds, lasts to round n.  It is dead at round r if it breaks the
+    rule with bound ``bound(r)``; else for each side and each count i the
+    first player picks in the mover's part, some count j in
+    ``replies(p, q, r, i, side)`` must keep both child cells alive.
+
+    Exactness: a round splits each cell by a count picked per cell, each
+    cell's reply count is chosen on its own, and loss is per cell.  So
+    "for all sides and picks, some reply keeps every cell alive" commutes
+    with the AND over cells: a position survives iff each of its cells
+    does.  The memo lives for one call.
+    """
+
+    @lru_cache(maxsize=None)
+    def survives(p: int, q: int, r: int) -> bool:
+        if _lost(p, q, bound(r)):
+            return False
+        if r == n:
+            return True
+        for side in ("T", "T2"):
+            for i in range((p if side == "T" else q) + 1):
+                for j in replies(p, q, r, i, side):
+                    a, b = (i, j) if side == "T" else (j, i)
+                    if survives(a, b, r + 1) and survives(p - a, q - b, r + 1):
+                        break
+                else:
+                    return False
+        return True
+
+    return survives
+
+
+def _transcript_line(pos: SeuratPosition, side: str, chosen, reply) -> str:
+    cells = ", ".join(
+        f"{p:0{max(pos.n, 1)}b}->({len(a)},{len(b)})"
+        for p, (a, b) in sorted(pos.cells.items())
+    )
+    return (
+        f"round {pos.r - 1} | forall side={side} set={sorted(chosen)} "
+        f"| exists set={sorted(reply)} | cells: {cells}"
+    )
+
+
+def _play_one_round(pos, side, chosen, strategy):
+    """Returns (next position, reply, None) when the strategy survives the
+    round, else (None, None, the round's losing lines)."""
+    try:
+        reply = strategy(pos, chosen, side)
+    except SeuratStrategyFailure as exc:
+        return None, None, [f"round {pos.r} | strategy failure: {exc}"]
+    if side == "T":
+        nxt = apply_round(pos, chosen, reply)
+    else:
+        nxt = apply_round(pos, reply, chosen)
+    pal = forall_wins(nxt)
+    if pal is None and dagger_holds(nxt):
+        return nxt, reply, None
+    lost = ("survival invariant broken" if pal is None
+            else f"forall wins with palette {pal:b}")
+    return None, None, [_transcript_line(nxt, side, chosen, reply), lost]
+
+
+def verify_seurat_strategy(
+    t_size: int,
+    t2_size: int,
+    n: int,
+    mode: str = "exhaustive",
+    samples: int = 0,
+    seed: Optional[int] = None,
+    strategy=lemma43_strategy,
+) -> Verdict:
+    """Run every (or a sampled set of) opponent subset line against a strategy.
+
+    One search serves both modes; only the first player's moves differ.
+    Exhaustive mode tries both sides and every subset each round from
+    one root; sampled mode starts ``samples`` plays from the root and
+    draws one uniform side/subset choice per round from a fixed seed.
+    The survival invariant (:func:`dagger_holds`) is asserted after
+    every round.
+
+    Exhaustive mode counts the (2^|T| + 2^|T'|)^(n-r) plays below a
+    position as won once every cell survives (:func:`_cell_survival`)
+    under the strategy's replies, each read from a one-cell position
+    with the i smallest points chosen, and the invariant's bound
+    2^(n+1-r) >= 2, which implies the loss rule.  This is exact for
+    strategies that answer each palette from its cell's sizes and the
+    round, as :func:`lemma43_strategy` does; a counterexample is the
+    same first losing line with the same play number.
+    """
+    check_counts(t_size=t_size, t2_size=t2_size, n=n)
+    start = SeuratPosition.initial(n, range(t_size), range(t2_size))
+    if forall_wins(start) is not None:
+        return Verdict("counterexample", ["initial position lost"],
+                       "the initial position is lost")
+    grounds = (("T", range(t_size)), ("T2", range(t2_size)))
+
+    if mode == "exhaustive":
+        starts = 1
+
+        def strategy_reply(p, q, r, i, side):
+            cell = (frozenset(range(p)), frozenset(range(q)))
+            try:
+                reply = strategy(SeuratPosition(n, r, {0: cell}), frozenset(range(i)), side)
+            except SeuratStrategyFailure:
+                return ()
+            return (len(cell[1 if side == "T" else 0].intersection(reply)),)
+
+        survives = _cell_survival(n, strategy_reply, lambda r: 1 << (n + 1 - r))
+
+        def moves():
+            for side, ground in grounds:
+                for mask in range(1 << len(ground)):
+                    yield side, frozenset(
+                        g for i, g in enumerate(ground) if mask >> i & 1
+                    )
+    elif mode == "sampled":
+        if seed is None:
+            raise ValueError("sampled mode requires a seed")
+        check_counts(1, samples=samples)
+        starts = samples
+        rng = random.Random(seed)
+
+        def moves():
+            side, ground = rng.choice(grounds)
+            yield side, frozenset(g for g in ground if rng.random() < 0.5)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    plays = 0
+
+    def dfs(pos: SeuratPosition) -> Optional[list[str]]:
+        nonlocal plays
+        if pos.r == pos.n or mode == "exhaustive" and all(
+                survives(len(a), len(b), pos.r) for a, b in pos.cells.values()):
+            plays += (2**t_size + 2**t2_size) ** (pos.n - pos.r)
+            return None
+        for side, chosen in moves():
+            nxt, reply, bad = _play_one_round(pos, side, chosen, strategy)
+            if bad is None:
+                bad = dfs(nxt)
+                if bad is None:
+                    continue
+                bad.insert(0, _transcript_line(nxt, side, chosen, reply))
+            return bad
+        return None
+
+    for _ in range(starts):
+        bad = dfs(start)
+        if bad is not None:
+            return Verdict("counterexample", bad,
+                           f"strategy reached a losing position in play {plays + 1}",
+                           plays=plays)
+    return Verdict("verified" if mode == "exhaustive" else "verified-sampled",
+                   plays=plays)

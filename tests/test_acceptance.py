@@ -241,11 +241,11 @@ def test_criterion_11_invariant_suites(capsys):
     ok = ok and res.verified
 
     # colouring game: the survival invariant holds along random plays
-    sess = SeuratSession(2, range(8), range(8))
+    sess = SeuratSession(2, 0xFF, 0xFF)
     rng = random.Random(7)
     for _ in range(2):
         side = rng.choice(("T", "T2"))
-        sess.play(side, frozenset(x for x in range(8) if rng.random() < 0.5))
+        sess.play(side, sum(1 << x for x in range(8) if rng.random() < 0.5))
         ok = ok and dagger_holds(sess.pos) and forall_wins(sess.pos) is None
 
     # equivalence game: the refinement check agrees with the closure oracle

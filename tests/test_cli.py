@@ -159,6 +159,14 @@ def test_seurat_losing_sizes(capsys):
     assert "counterexample: the initial position is lost" in capsys.readouterr().out
 
 
+def test_seurat_many_rounds_exits_at_once(capsys):
+    t0 = time.perf_counter()
+    assert main(["seurat", "--t", "2", "--t2", "3", "-n", "64"]) == FAIL
+    assert time.perf_counter() - t0 < 1
+    out = capsys.readouterr().out
+    assert "counterexample: strategy reached a losing position in play 1" in out
+
+
 def test_seurat_solve(capsys):
     assert main(["seurat-solve", "--t", "2", "--t2", "3", "-n", "1"]) == OK
     assert "forall wins" in capsys.readouterr().out

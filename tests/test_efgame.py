@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -598,6 +599,20 @@ def test_sampled_mode_refuses_more_rounds_than_elements():
         verify_ef_strategy(alg_a, alg_b, strat, 65, mode="sampled", samples=1, seed=0)
     with pytest.raises(ValueError, match="n = 100 exceeds the 64 elements of side B"):
         verify_ef_strategy(alg_b, alg_a, strat, 100, mode="sampled", samples=1, seed=0)
+
+
+def test_sampled_play_over_64_rounds_returns_at_once():
+    # each play's colouring session holds one cell per non-empty palette,
+    # at most 1 + 2 here, not one per each of the 2^64 palettes
+    rb_a, rb_b, alg_a, alg_b = _pair_algebras(1, 2, 1)
+    strat = Prop44Strategy(rb_a, rb_b)
+    t0 = time.perf_counter()
+    v = verify_ef_strategy(alg_a, alg_b, strat, 64, mode="sampled", seed=0)
+    assert time.perf_counter() - t0 < 1
+    assert (v.status, v.reason) == (
+        "counterexample", "strategy reached a losing position in play 1")
+    session = strat.start(64)
+    assert session.pos.cells == {0: (0b1, 0b11)}
 
 
 def test_state_budget_gives_inconclusive():

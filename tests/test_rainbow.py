@@ -174,3 +174,21 @@ def test_rename_nongreens_keeps_names_drops_greens(src, dst):
     )
     with pytest.raises(ValueError):
         rb_src.rename_nongreens(rb_dst, everything + 1)
+
+
+@pytest.mark.parametrize("s,t", [(1, 1), (2, 2), (3, 2), (5, 3)])
+def test_green_index_masks_name_the_greens(s, t):
+    rb = Rainbow.make(s, t)
+    names = rb.structure.names
+    everything = (1 << rb.structure.n_atoms) - 1
+    for a in range(rb.structure.n_atoms):
+        indices = rb.green_indices(1 << a)
+        if rb.is_green(a):
+            assert indices == 1 << int(names[a][1:])
+            assert rb.green_atoms(indices) == 1 << a
+        else:
+            assert indices == 0
+    assert rb.green_indices(everything) == (1 << s) - 1
+    assert rb.green_atoms((1 << s) - 1) == rb.green_mask
+    with pytest.raises(ValueError):
+        rb.green_atoms(1 << s)
