@@ -80,21 +80,23 @@ class Algebra:
         """The transposed table: ``comp_by_right[b][a] = comp[a][b]``."""
         return [list(col) for col in zip(*self.comp)]
 
-    def compose_all(self, masks: list[int]) -> list[list[int]]:
-        """Every pairwise composition: ``out[i][j] = masks[i] ; masks[j]``.
+    def compose_all(self, atoms: list[list[int]]) -> list[list[int]]:
+        """Every pairwise composition of the elements given by their atom
+        lists: ``out[i][j]`` is the element with atoms ``atoms[i]``
+        composed with the one with atoms ``atoms[j]``.
 
-        For each left mask x the row ``L = left_row(x)`` is built once,
-        and then ``x ; y`` is the OR of ``L[b]`` over the bits b of y.
-        On a list of m masks that partition k atoms this costs about
+        For each left list xs the row ``L = left_row(x)`` is built once
+        from xs, and then ``x ; y`` is the OR of ``L[b]`` over the atoms
+        b of y.  On m lists that partition k atoms this costs about
         k*k + k*m steps instead of m*m compose calls.
         A one-atom y = {b} needs no OR at all: ``x ; y`` is ``L[b]``.  The
-        products with the other masks are appended to L, so that one
+        products with the other elements are appended to L, so that one
         itemgetter reads out the whole row of products.
         """
-        if len(masks) < 2:
-            return [[self.compose(x, y) for y in masks] for x in masks]
         comp, k = self.comp, self.n_atoms
-        atoms = [list(bits(x)) for x in masks]
+        if len(atoms) < 2:
+            return [[reduce(or_, (comp[a][b] for a in xs for b in ys), 0)
+                     for ys in atoms] for xs in atoms]
         multi = [ys for ys in atoms if len(ys) != 1]
         slot = iter(range(k, k + len(multi)))
         pick = itemgetter(*[ys[0] if len(ys) == 1 else next(slot) for ys in atoms])

@@ -9,14 +9,21 @@ the generated subalgebras.
 The winner of a position is decided by joint partition refinement over
 paired atom cells rather than by enumerating the generated subalgebras,
 which keeps a single check near-instant even on algebras with thousands
-of elements.  Each refinement pass forms all cell products of a side in
-one batch (:meth:`Algebra.compose_all`), keeps each distinct pair of
-products once (a repeated pair can split no group), and signs every
-atom with an int over those pairs.  A direct pairwise closure
-(:func:`pair_closure`) is kept as an independently-checkable oracle for
-small instances.
+of elements.  Each refinement pass lists every cell's atoms on both
+sides, forms all cell products of a side in one batch from those lists
+(:meth:`Algebra.compose_all`), keeps each distinct pair of products
+once (a repeated pair can split no group), and signs every atom with an
+int over those pairs.  A direct pairwise closure (:func:`pair_closure`)
+is kept as an independently-checkable oracle for small instances.
 
 :func:`verify_ef_strategy` returns a :class:`~relalg.verdict.Verdict`.
+Each play first gets all of the strategy's replies, and then only its
+last position is decided (the root, when n = 0).  The earlier positions
+are decided only when the last one is lost, from round 0 on, to find
+the first lost round.  This is exact because the winner is monotone
+along a play: an isomorphism that extends a pairing with one more pair
+restricts to one that extends the pairing without it
+(:func:`_play_out` gives the argument).
 Within one call it decides each position once per class of its
 starting joint partition of the atoms (the region pairs the played
 pairs and the identity cut the two tops into), taken up to
@@ -27,7 +34,9 @@ partition, and every such permutation is a pair of automorphisms, so
 positions of one class have one winner (:func:`_partition_key` gives
 the argument).  Every play is still run, so the strategy still answers
 every move, and more than a state budget of classes ends the check
-"inconclusive".
+"inconclusive".  The verdict's ``states`` counts the classes decided,
+so it falls on sampled runs with n >= 2, whose won plays are decided
+at their last position alone.
 """
 
 from __future__ import annotations
@@ -170,53 +179,59 @@ def position_winner(pos: EFPosition) -> PositionVerdict:
 
     The first signature of an atom is an int whose bit p says whether
     the atom lies in the p-th played element (the identity comes last).
-    Each refinement pass then forms every cell product on both sides at
-    once (:meth:`Algebra.compose_all`) and keeps each distinct
-    (A-product, B-product) pair once, in order of first appearance.  An
-    atom's next signature is (its cell, the cell of its converse, an int
-    with bit p set when the atom lies in distinct product pair p).  A
-    repeated product pair would add a column equal to an earlier one,
-    and an equal column splits no group, so dropping it leaves every
-    partition, and with it the coarsest stable one, unchanged.
+    Each pass numbers the groups in order of first appearance and lists
+    each group's atoms on both sides.  It then forms every cell product
+    on both sides at once (:meth:`Algebra.compose_all`, from those atom
+    lists) and keeps each distinct (A-product, B-product) pair once, in
+    order of first appearance.  An atom's next signature is (its cell,
+    the cell of its converse, an int with bit p set when the atom lies
+    in distinct product pair p).  A repeated product pair would add a
+    column equal to an earlier one, and an equal column splits no group,
+    so dropping it leaves every partition, and with it the coarsest
+    stable one, unchanged.  A signature holds its own cell, so each pass
+    refines the last, and a pass with as many groups as the last has
+    the same partition: it is stable.  The cells are listed in mask
+    order.
     """
     alg_a, alg_b = pos.alg_a, pos.alg_b
     conv_a, conv_b = alg_a.conv_atom, alg_b.conv_atom
 
     def columns(pairs, alg: Algebra, side: int) -> list:
         """Per atom, the int whose bit p is its membership in pairs[p]:
-        the transpose of the side's masks, done on binary strings."""
-        width = f"0{alg.n_atoms}b"
-        rows = [format(p[side] & alg.one, width) for p in reversed(pairs)]
-        return [int("".join(col), 2) for col in zip(*rows)][::-1]
+        the side's masks as k-bit strings, joined last pair first, and
+        read off by one slice per atom."""
+        k, one = alg.n_atoms, alg.one
+        width = f"0{k}b"
+        rows = "".join([format(p[side] & one, width) for p in reversed(pairs)])
+        return [int(rows[c::k], 2) for c in range(k - 1, -1, -1)]
+
+    def mask(atoms: list) -> int:
+        return sum(1 << x for x in atoms)
 
     elems = list(pos.pairs) + [(alg_a.identity_mask, alg_b.identity_mask)]
     sig_a, sig_b = columns(elems, alg_a, 0), columns(elems, alg_b, 1)
-
+    cells: list = []
     while True:
-        groups: dict = {}
-        for i, sig in enumerate(sig_a):
-            groups.setdefault(sig, [0, 0])[0] |= 1 << i
-        for i, sig in enumerate(sig_b):
-            groups.setdefault(sig, [0, 0])[1] |= 1 << i
-        for ma, mb in groups.values():
-            if (ma == 0) != (mb == 0):
-                return PositionVerdict(winner="forall", witness=(ma, mb))
-        keys = sorted(groups, key=groups.__getitem__)
-        cells = [groups[sig] for sig in keys]
-        rank = {sig: ci for ci, sig in enumerate(keys)}
-        cell_a = [rank[sig] for sig in sig_a]
-        cell_b = [rank[sig] for sig in sig_b]
-        prods_a = alg_a.compose_all([ma for ma, _ in cells])
-        prods_b = alg_b.compose_all([mb for _, mb in cells])
+        ids: dict = {}
+        cell_a = [ids.setdefault(sig, len(ids)) for sig in sig_a]
+        cell_b = [ids.setdefault(sig, len(ids)) for sig in sig_b]
+        if len(ids) == len(cells):
+            return PositionVerdict(winner="exists", cells=sorted(
+                (mask(xs), mask(ys)) for xs, ys in cells))
+        cells = [([], []) for _ in ids]
+        for i, c in enumerate(cell_a):
+            cells[c][0].append(i)
+        for i, c in enumerate(cell_b):
+            cells[c][1].append(i)
+        for xs, ys in cells:
+            if not xs or not ys:
+                return PositionVerdict(winner="forall", witness=(mask(xs), mask(ys)))
+        prods_a = alg_a.compose_all([xs for xs, _ in cells])
+        prods_b = alg_b.compose_all([ys for _, ys in cells])
         prods = dict.fromkeys(zip(chain(*prods_a), chain(*prods_b)))
         col_a, col_b = columns(prods, alg_a, 0), columns(prods, alg_b, 1)
-        new_a = [(c, cell_a[v], s) for c, v, s in zip(cell_a, conv_a, col_a)]
-        new_b = [(c, cell_b[v], s) for c, v, s in zip(cell_b, conv_b, col_b)]
-        if len(set(new_a) | set(new_b)) == len(cells):
-            return PositionVerdict(
-                winner="exists", cells=[(ma, mb) for ma, mb in cells]
-            )
-        sig_a, sig_b = new_a, new_b
+        sig_a = [(c, cell_a[v], s) for c, v, s in zip(cell_a, conv_a, col_a)]
+        sig_b = [(c, cell_b[v], s) for c, v, s in zip(cell_b, conv_b, col_b)]
 
 
 # ---------------------------------------------------------------------------
@@ -321,33 +336,61 @@ def _partition_key(alg_a: Algebra, alg_b: Algebra):
 
 
 def _play_out(alg_a, alg_b, strategy, n, moves, exists_ok) -> Optional[list[str]]:
-    """Run one play from a fixed first-player move list, deciding each
-    position with ``exists_ok``; None if the strategy survives it, else
-    the transcript of the lost play.  A reply the strategy cannot give
-    (:class:`SeuratStrategyFailure`) loses the play: its round's line
-    ends ``exists: strategy failure: <message>``."""
+    """Run one play from a fixed first-player move list; None if the
+    strategy survives it, else the transcript of the lost play.
+
+    The strategy first answers every move.  Then ``exists_ok`` decides
+    the play's last position only: the position after the last reply,
+    or the root when the play has no moves.  Only when that position is
+    lost are the earlier ones decided, from round 0 on, and the
+    transcript ends at the first lost round, its line ending
+    ``forall wins``.  A lost root gives the one line ``initial position
+    lost``.
+
+    This is exact because the winner is monotone along a play.  Say
+    the pairing P ∪ {p} extends to an isomorphism f from the subalgebra
+    of A that its A-sides and the constants generate onto the one of B
+    that its B-sides and the constants generate.  f is a homomorphism
+    that maps each A-side of P to its B-side and each constant to its
+    partner, so it maps the subalgebra ⟨P⟩_A that P's A-sides and the
+    constants generate onto the one that their images generate: ⟨P⟩_B.
+    Restricted there, f is still one-to-one, so P extends too.  Hence
+    a won last position means every position of the play is won, and a
+    lost one is reached at the same first lost round as when each
+    position is decided in turn.
+
+    A reply the strategy cannot give (:class:`SeuratStrategyFailure`)
+    ends the play, and the positions before it are decided as above.
+    If one of them is lost, that loss is reported; otherwise the play
+    is lost at the failed round, whose line ends ``exists: strategy
+    failure: <message>``.  A failure in round 0 decides no position."""
     ctx = strategy.start(n)
-    pos = EFPosition(alg_a, alg_b)
-
-    def played(last: str) -> list[str]:
-        return [
-            _round_line(j, s, e, b if s == "A" else a,
-                        "ok" if j < len(pos.pairs) - 1 else last)
-            for j, ((s, e), (a, b)) in enumerate(zip(moves, pos.pairs))
-        ]
-
+    pairs: list = []
+    failure: list = []
     for i, (side, elem) in enumerate(moves):
         try:
             resp = strategy.respond(ctx, side, elem)
         except SeuratStrategyFailure as exc:
-            return played("ok") + [
-                f"round {i} | forall: side={side} elem={elem:#x}"
-                f" | exists: strategy failure: {exc}"
-            ]
-        pos = pos.extended(*((elem, resp) if side == "A" else (resp, elem)))
-        if not exists_ok(pos):
-            return played("forall wins")
-    return None
+            failure = [f"round {i} | forall: side={side} elem={elem:#x}"
+                       f" | exists: strategy failure: {exc}"]
+            break
+        pairs.append((elem, resp) if side == "A" else (resp, elem))
+
+    def played(upto: int, last: str) -> list[str]:
+        return [
+            _round_line(j, s, e, b if s == "A" else a, "ok" if j < upto else last)
+            for j, ((s, e), (a, b)) in enumerate(zip(moves[:upto + 1], pairs))
+        ]
+
+    def lost(rounds: int) -> bool:
+        return not exists_ok(EFPosition(alg_a, alg_b, tuple(pairs[:rounds])))
+
+    if (pairs or not moves) and lost(len(pairs)):
+        if not pairs:
+            return ["initial position lost"]
+        first = next(i for i in range(len(pairs)) if i == len(pairs) - 1 or lost(i + 1))
+        return played(first, "forall wins")
+    return played(len(pairs) - 1, "ok") + failure if failure else None
 
 
 def _sampled_moves(alg_a, alg_b, n: int, samples: int, rng: random.Random):
@@ -381,21 +424,32 @@ def verify_ef_strategy(
     first-player play.
 
     Exhaustive mode walks all element choices on both sides each round
-    and is only allowed for n <= 1 on algebras up to 2^13 elements;
-    larger runs must use sampled mode, whose verdict is labelled
+    and is only allowed for n <= 1, and for n = 1 only on algebras up to
+    2^13 elements (n = 0 plays no element, so it takes any size); larger
+    runs must use sampled mode, whose verdict is labelled
     "verified-sampled" and never counts as exhaustive.  A sampled play
     never repeats an element of a side, so n may not exceed either
     side's element count.
+
+    Each play is run by :func:`_play_out`: the strategy answers every
+    move, and then only the play's last position is decided, the root
+    when n = 0; the earlier ones are decided only when it is lost, to
+    find the first lost round.  The winner is monotone along a play
+    (that docstring gives the argument), so this reports the same first
+    lost play and transcript as deciding every position in turn.  A
+    lost root is a counterexample with the transcript ``initial position
+    lost`` and the reason "the initial position is lost".
 
     Each position is decided by :func:`position_winner` once per class,
     keyed on :func:`_partition_key`, its starting joint partition of the
     atoms up to twin swaps; that docstring argues that equal keys give
     equal winners.  The verdict's ``states`` is the number of classes
-    decided, which is the number of :func:`position_winner` calls, and
-    more than ``max_states`` classes give "inconclusive" with reason
-    "state budget" and no transcript.  Every play is still run in full, so moves,
-    ``plays``, transcripts and the first lost play are those of checking
-    each position afresh.
+    decided, which is the number of :func:`position_winner` calls; as
+    only last positions and the rounds of lost plays are decided, it
+    falls on sampled runs with n >= 2.  More than ``max_states`` classes
+    give "inconclusive" with reason "state budget" and no transcript.
+    Status, reason, ``plays``, transcripts and the first lost play are
+    those of checking each position of every play afresh.
     """
     check_counts(n=n, max_states=max_states)
     if mode == "exhaustive":
@@ -403,7 +457,7 @@ def verify_ef_strategy(
             raise ValueError(
                 f"exhaustive mode supports n <= {EXHAUSTIVE_MAX_ROUNDS}; use sampled"
             )
-        if max(alg_a.size, alg_b.size) > EXHAUSTIVE_MAX_SIZE:
+        if n and max(alg_a.size, alg_b.size) > EXHAUSTIVE_MAX_SIZE:
             raise ValueError("algebra too large for exhaustive mode; use sampled")
         move_lists = [[]] if n == 0 else (
             [(side, elem)]
@@ -441,8 +495,10 @@ def verify_ef_strategy(
             plays += 1
             lost = _play_out(alg_a, alg_b, strategy, n, moves, exists_ok)
             if lost is not None:
-                return Verdict("counterexample", lost, states=len(decided), plays=plays,
-                               reason=f"strategy reached a losing position in play {plays}")
+                reason = ("the initial position is lost" if n == 0 else
+                          f"strategy reached a losing position in play {plays}")
+                return Verdict("counterexample", lost, reason, states=len(decided),
+                               plays=plays)
     except BudgetExhausted:
         return Verdict("inconclusive", reason="state budget", states=max_states + 1,
                        plays=plays)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from relalg import build_rainbow, logic, rasfile
+from relalg import build_rainbow, efgame, logic, rasfile
 from relalg.cli import FAIL, INCONCLUSIVE, OK, USAGE, main
 
 
@@ -128,6 +128,16 @@ def test_efgame_counterexample(ras22, ras32, capsys):
     assert "counterexample: strategy reached a losing position in play 145" in out
 
 
+def test_efgame_lost_root(ras22, ras32, monkeypatch, capsys):
+    # no pair of rainbows loses the root, so the position check is
+    # stubbed to lose it
+    monkeypatch.setattr(efgame, "position_winner",
+                        lambda pos: efgame.PositionVerdict("forall"))
+    assert main(["efgame", ras22, ras32, "-n", "0"]) == FAIL
+    assert capsys.readouterr().out == (
+        "initial position lost\ncounterexample: the initial position is lost\n")
+
+
 def test_efgame_sampled_requires_seed(ras22, ras32, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["efgame", ras22, ras32, "-n", "1", "--mode", "sampled"])
@@ -204,6 +214,9 @@ def _exit_code(argv) -> int:
      "inconclusive: state budget"),
     ("efgame b41.ras b51.ras -n 1 --budget 36", OK, "out",
      "verified (exhaustive): 1536 plays, no losing position; 36 position classes checked"),
+    # zero rounds decide the root alone, on algebras of any size
+    ("efgame b13.ras b23.ras -n 0", OK, "out",
+     "verified (exhaustive): 1 plays, no losing position; 1 position classes checked"),
     ("efgame b41.ras b51.ras -n 1 --budget -1", USAGE, "err",
      "argument --budget: invalid count -1: must be at least 0"),
     # a reply the strategy cannot give loses the play, with no traceback
@@ -232,7 +245,7 @@ def _exit_code(argv) -> int:
      "argument --rounds: invalid count -1: must be at least 0"),
 ])
 def test_verdict_exit_codes(tmp_path, monkeypatch, capsys, argv, code, stream, text):
-    for s, t in ((2, 2), (3, 2), (4, 1), (5, 1)):
+    for s, t in ((2, 2), (3, 2), (4, 1), (5, 1), (1, 3), (2, 3)):
         rasfile.dump(build_rainbow(s, t), tmp_path / f"b{s}{t}.ras")
     monkeypatch.chdir(tmp_path)
     assert _exit_code(argv.split()) == code

@@ -6,10 +6,12 @@ import time
 
 import pytest
 
+from reference import from_triples
 from relalg import Algebra, Rainbow, efgame
 from relalg.algebra import bits
 from relalg.efgame import (
     EFPosition,
+    PositionVerdict,
     Prop44Strategy,
     pair_closure,
     position_winner,
@@ -79,18 +81,6 @@ def test_refinement_agrees_with_pair_closure_on_random_positions():
         assert v.exists_ok == pair_closure(pos).is_isomorphism
         if v.exists_ok:
             assert set(v.cells) == _closure_cells(pos)
-
-
-def test_appending_pairs_never_helps_exists():
-    # if a position is already lost, any extension stays lost
-    rng = random.Random(99)
-    b = Algebra(RB32.structure)
-    for _ in range(80):
-        pos = EFPosition(ALG22, b, ((rng.randrange(ALG22.size), rng.randrange(b.size)),))
-        if position_winner(pos).exists_ok:
-            continue
-        ext = pos.extended(rng.randrange(ALG22.size), rng.randrange(b.size))
-        assert not position_winner(ext).exists_ok
 
 
 def _tuple_signature_winner(pos):
@@ -184,6 +174,27 @@ def test_position_winner_matches_tuple_signature_winner(s_a, s_b, t, count):
     assert winners == {"exists", "forall"}
 
 
+@pytest.mark.parametrize(
+    "s_a, s_b, t, count",
+    [(2, 3, 2, 150), (3, 4, 2, 150), (4, 5, 1, 150), (8, 9, 2, 60)],
+)
+def test_every_prefix_of_an_exists_position_is_exists(s_a, s_b, t, count):
+    # the winner is monotone along a play, which lets the play loop
+    # decide only a play's last position
+    rb_a, rb_b, alg_a, alg_b = _pair_algebras(s_a, s_b, t)
+    rng = random.Random(500 * s_a + t)
+    winners = set()
+    for pos in _sampled_positions(rb_a, rb_b, alg_a, alg_b, count, rng):
+        if len(pos.pairs) < 2:
+            continue
+        v = position_winner(pos)
+        if v.exists_ok:
+            for i in range(len(pos.pairs)):
+                assert position_winner(EFPosition(alg_a, alg_b, pos.pairs[:i])).exists_ok
+        winners.add(v.winner)
+    assert winners == {"exists", "forall"}
+
+
 def test_refinement_agrees_with_pair_closure_on_unequal_pair():
     # B(2,1) and B(3,1) differ, so "forall" verdicts are cross-checked too
     rb_a, rb_b = Rainbow.make(2, 1), Rainbow.make(3, 1)
@@ -205,11 +216,12 @@ def test_compose_all_matches_compose():
         masks = [0, alg.one, alg.identity_mask] + [
             rng.randrange(alg.size) for _ in range(6)
         ] + [1 << rng.randrange(alg.n_atoms) for _ in range(6)]
-        table = alg.compose_all(masks)
+        table = alg.compose_all([list(bits(x)) for x in masks])
         assert table == [[alg.compose(x, y) for y in masks] for x in masks]
     assert ALG22.compose_all([]) == []
     x = 1 << RB22.green(0)
-    assert ALG22.compose_all([x]) == [[ALG22.compose(x, x)]]
+    assert ALG22.compose_all([[RB22.green(0)]]) == [[ALG22.compose(x, x)]]
+    assert ALG22.compose_all([[]]) == [[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +457,14 @@ SWEEP = [
     (8, 9, 2, 2, {"mode": "sampled", "samples": 300, "seed": 8}),
     *[(2, 3, 2, 2, {"mode": "sampled", "samples": 200, "seed": seed})
       for seed in range(4)],
+    # three rounds: plays lost at round 1 (found by the scan from round
+    # 0) and at round 2, a reply failure after two won rounds, and a win
+    (4, 5, 1, 3, {"mode": "sampled", "samples": 200, "seed": 2}),
+    (3, 4, 2, 3, {"mode": "sampled", "samples": 200, "seed": 0}),
+    (8, 9, 1, 3, {"mode": "sampled", "samples": 100, "seed": 0}),
+    (8, 9, 2, 3, {"mode": "sampled", "samples": 100, "seed": 0}),
+    (2, 3, 2, 3, {"mode": "sampled", "samples": 200, "seed": 0}),
+    (16, 17, 1, 3, {"mode": "sampled", "samples": 100, "seed": 0}),
 ]
 
 
@@ -468,15 +488,51 @@ def test_position_classes_change_no_verdict(monkeypatch, s_a, s_b, t, n, kw):
     assert got[:4] == want[:4]
     assert got[4].states == len(calls) <= n * got[4].plays
     failures = [line for line in got[3] if "strategy failure" in line]
-    # B(2,2)/B(3,2) at n = 2: the reply at seed 0 (round 0) and seed 2
-    # (round 1) of play 2 needs more greens than the cell has
-    failure = {0: "palette 0: need 3 of 2 points", 2: "palette 0: need 1 of 0 points"}
-    if (s_a, s_b, t, n) == (2, 3, 2, 2) and kw["seed"] in failure:
-        assert got[:3:2] == ("counterexample", 2)
+    # B(2,2)/B(3,2): at n = 2 the reply at seed 0 (round 0) and seed 2
+    # (round 1) of play 2, and at n = 3 the reply at seed 0 (round 2) of
+    # play 1, needs more greens than the cell has
+    failure = {
+        (2, 0): (2, "palette 0: need 3 of 2 points"),
+        (2, 2): (2, "palette 0: need 1 of 0 points"),
+        (3, 0): (1, "palette 0: need 1 of 0 points"),
+    }
+    if (s_a, s_b, t) == (2, 3, 2) and (n, kw.get("seed")) in failure:
+        play, message = failure[n, kw["seed"]]
+        assert got[:3:2] == ("counterexample", play)
         assert failures == got[3][-1:]
-        assert failures[0].endswith(f"| exists: strategy failure: {failure[kw['seed']]}")
+        assert failures[0].endswith(f"| exists: strategy failure: {message}")
     else:
         assert failures == []
+
+
+class LoseThenFailStrategy:
+    """Answer round 0 with an element that loses at once, and fail to
+    answer round 1."""
+
+    def __init__(self, alg_a, alg_b):
+        self.one = {"A": alg_b.one, "B": alg_a.one}
+
+    def start(self, n: int) -> list:
+        return [0]
+
+    def respond(self, rounds: list, side: str, elem: int) -> int:
+        rounds[0] += 1
+        if rounds[0] > 1:
+            raise SeuratStrategyFailure("no reply in round 1")
+        return 0 if elem else self.one[side]
+
+
+def test_failure_after_a_lost_round_reports_the_lost_round():
+    _, _, alg_a, alg_b = _pair_algebras(2, 3, 2)
+    kw = {"mode": "sampled", "samples": 20, "seed": 4}
+    strat = LoseThenFailStrategy(alg_a, alg_b)
+    want = _memo_free_verdict(alg_a, alg_b, strat, 2, **kw)
+    got = verify_ef_strategy(alg_a, alg_b, strat, 2, **kw)
+    assert (got.status, got.reason, got.plays, got.transcript) == (
+        want.status, want.reason, want.plays, want.transcript)
+    assert (got.status, got.plays, got.states) == ("counterexample", 1, 1)
+    assert len(got.transcript) == 1
+    assert got.transcript[0].endswith("| forall wins")
 
 
 def test_position_class_counts():
@@ -491,6 +547,59 @@ def test_position_class_counts():
         (3, 4, 2): ("counterexample", 2097, 257),
         (4, 5, 2): ("verified", 12288, 384),
     }
+
+
+# ---------------------------------------------------------------------------
+# zero rounds: the root is the one position a play reaches
+
+
+def _one_point_and_two_point_group():
+    """The algebra of the one-element group, and that of the two-element
+    group, whose constants 1 and 1' differ."""
+    trivial = from_triples(["1'"], [0], [0], {(0, 0, 0)})
+    z2 = from_triples(["1'", "d"], [0], [0, 1],
+                      {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)})
+    return Algebra(trivial), Algebra(z2)
+
+
+class UnaskedStrategy:
+    """A strategy for zero rounds: it is never asked for a reply."""
+
+    def start(self, n: int):
+        return None
+
+    def respond(self, ctx, side: str, elem: int) -> int:
+        raise AssertionError("no move is played in zero rounds")
+
+
+def test_zero_rounds_lost_root_is_a_counterexample():
+    trivial, z2 = _one_point_and_two_point_group()
+    assert position_winner(EFPosition(trivial, z2)).winner == "forall"
+    lost = Verdict("counterexample", ["initial position lost"],
+                   "the initial position is lost", states=1, plays=1)
+    assert verify_ef_strategy(trivial, z2, UnaskedStrategy(), 0) == lost
+    v = verify_ef_strategy(z2, trivial, UnaskedStrategy(), 0, mode="sampled",
+                           samples=5, seed=0)
+    assert v == lost
+
+
+def test_zero_rounds_decide_the_root_once():
+    _, z2 = _one_point_and_two_point_group()
+    v = verify_ef_strategy(z2, Algebra(z2.structure), UnaskedStrategy(), 0)
+    assert (v.status, v.states, v.plays, v.transcript) == ("verified", 1, 1, [])
+    rb_a, rb_b, alg_a, alg_b = _pair_algebras(2, 3, 2)
+    v = verify_ef_strategy(alg_a, alg_b, Prop44Strategy(rb_a, rb_b), 0,
+                           mode="sampled", samples=5, seed=0)
+    assert (v.status, v.states, v.plays) == ("verified-sampled", 1, 5)
+
+
+def test_zero_rounds_skip_the_exhaustive_size_guard():
+    rb_a, rb_b, alg_a, alg_b = _pair_algebras(8, 9, 7)
+    strat = Prop44Strategy(rb_a, rb_b)
+    v = verify_ef_strategy(alg_a, alg_b, strat, 0)
+    assert (v.status, v.states, v.plays) == ("verified", 1, 1)
+    with pytest.raises(ValueError, match="algebra too large for exhaustive mode"):
+        verify_ef_strategy(alg_a, alg_b, strat, 1)
 
 
 def _permuted(mask, perm):
