@@ -152,15 +152,23 @@ def cmd_efgame(args) -> int:
 
 def cmd_seurat(args) -> int:
     _require_seed(args)
-    res = seurat.verify_seurat_strategy(
-        args.t, args.t2, args.n, mode=args.mode,
-        samples=args.samples, seed=args.seed,
-    )
+    try:
+        res = seurat.verify_seurat_strategy(
+            args.t, args.t2, args.n, mode=args.mode,
+            samples=args.samples, seed=args.seed,
+        )
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return USAGE
     return _finish(res, f"verified ({args.mode}): {res.plays} plays survived")
 
 
 def cmd_seurat_solve(args) -> int:
-    winner = seurat.brute_force_winner(args.t, args.t2, args.n)
+    try:
+        winner = seurat.brute_force_winner(args.t, args.t2, args.n)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return USAGE
     print(f"G_{args.n}({args.t}, {args.t2}): {winner} wins")
     return OK
 

@@ -33,7 +33,8 @@ exact against the game on all 2^n palettes:
    failure message.
 
 A play therefore holds at most |T| + |T'| cells in any round, however
-large n is.
+large n is.  The exact solver and the exhaustive strategy check take at
+most ``EXHAUSTIVE_MAX_ROUNDS`` rounds; sampled strategy checks take any n.
 
 :func:`verify_seurat_strategy` returns a :class:`~relalg.verdict.Verdict`;
 the exact solver :func:`brute_force_winner` returns the winner's name.
@@ -47,6 +48,11 @@ from functools import lru_cache
 from typing import Optional
 
 from .verdict import Verdict, check_counts
+
+# The exact solver and the exhaustive strategy check recurse once per
+# round, about two interpreter frames a round; 256 rounds stay well
+# under Python's default limit of 1,000 frames, test runners' included.
+EXHAUSTIVE_MAX_ROUNDS = 256
 
 
 @dataclass(frozen=True)
@@ -138,18 +144,17 @@ def lemma43_strategy(pos: SeuratPosition, chosen: int, side: str) -> int:
     for palette, (a, b) in pos.cells.items():
         mine, theirs = (a, b) if side == "T" else (b, a)
         n_in = (mine & chosen).bit_count()
-        n_out = mine.bit_count() - n_in
+        n_theirs = theirs.bit_count()
         if n_in < m:
             size = n_in
-        elif n_out < m:
-            size = theirs.bit_count() - n_out
         else:
-            size = m
-        if size < 0 or size > theirs.bit_count():
+            n_out = mine.bit_count() - n_in
+            size = n_theirs - n_out if n_out < m else m
+        if size < 0 or size > n_theirs:
             raise SeuratStrategyFailure(
-                f"palette {palette:b}: need {size} of {theirs.bit_count()} points"
+                f"palette {palette:b}: need {size} of {n_theirs} points"
             )
-        reply |= _lowest_bits(theirs, size)
+        reply |= theirs if size == n_theirs else _lowest_bits(theirs, size)
     return reply
 
 
@@ -233,8 +238,11 @@ def brute_force_winner(t_size: int, t2_size: int, n: int) -> str:
     with every reply count allowed.  The replies are tried from the
     proportional count round(i*other/mover) outward; the reply is an
     existential choice over the same range, so the order changes only
-    how soon a surviving one is found."""
+    how soon a surviving one is found.  At most ``EXHAUSTIVE_MAX_ROUNDS``
+    rounds, as the recursion nests once per round; more raise ValueError."""
     check_counts(t_size=t_size, t2_size=t2_size, n=n)
+    if n > EXHAUSTIVE_MAX_ROUNDS:
+        raise ValueError(f"the exact solver supports n <= {EXHAUSTIVE_MAX_ROUNDS}")
 
     def replies(p, q, r, i, side):
         mover, other = (p, q) if side == "T" else (q, p)
@@ -264,8 +272,21 @@ def _transcript_line(pos: SeuratPosition, side: str, chosen: int, reply: int) ->
 
 
 def _play_one_round(pos, side, chosen, strategy):
-    """Returns (next position, reply, None) when the strategy survives the
-    round, else (None, None, the round's losing lines)."""
+    """Play one round: the strategy's reply, the split by
+    :func:`apply_round`, and both rules on the new position.  Returns
+    (next position, reply, None) when the strategy survives the round,
+    else (None, None, the round's losing lines).
+
+    One pass over the new cells decides both rules, counting each cell's
+    sizes once: it stops at the first cell with p != q and
+    min(p, q) < 2^(n+1-r), the survival invariant's bound at the new
+    round r.  As r <= n, that bound is at least 2, so a cell that breaks
+    the loss rule (p != q and min(p, q) < 2) breaks the invariant too,
+    and a position that passes the pass also passes the loss rule.  Only
+    a broken position runs :func:`forall_wins`, which names the palette
+    in the lost line, so the lines are those of checking
+    :func:`forall_wins` and then :func:`dagger_holds`.
+    """
     try:
         reply = strategy(pos, chosen, side)
     except SeuratStrategyFailure as exc:
@@ -274,12 +295,24 @@ def _play_one_round(pos, side, chosen, strategy):
         nxt = apply_round(pos, chosen, reply)
     else:
         nxt = apply_round(pos, reply, chosen)
-    pal = forall_wins(nxt)
-    if pal is None and dagger_holds(nxt):
+    bound = 1 << (nxt.n + 1 - nxt.r)
+    for a, b in nxt.cells.values():
+        p, q = a.bit_count(), b.bit_count()
+        if p != q and min(p, q) < bound:
+            break
+    else:
         return nxt, reply, None
+    pal = forall_wins(nxt)
     lost = ("survival invariant broken" if pal is None
             else f"forall wins with palette {pal:b}")
     return None, None, [_transcript_line(nxt, side, chosen, reply), lost]
+
+
+def _lost_play(lines: list[str], plays: int) -> Verdict:
+    """The counterexample of a lost play, after ``plays`` won ones."""
+    return Verdict("counterexample", lines,
+                   f"strategy reached a losing position in play {plays + 1}",
+                   plays=plays)
 
 
 def verify_seurat_strategy(
@@ -293,66 +326,93 @@ def verify_seurat_strategy(
 ) -> Verdict:
     """Run every (or a sampled set of) opponent subset line against a strategy.
 
-    One search serves both modes; only the first player's moves differ.
-    Exhaustive mode tries both sides and every subset each round from
-    one root; sampled mode starts ``samples`` plays from the root and
-    draws one uniform side/subset choice per round from a fixed seed.
-    The survival invariant (:func:`dagger_holds`) is asserted after
-    every round.
+    Both modes play each round through :func:`_play_one_round`, so the
+    loss rule and the survival invariant (:func:`dagger_holds`) are
+    checked after every round; only how the lines are chosen differs.
+    A lost line's transcript holds one line per round played, then the
+    losing round's rule (or ``round r | strategy failure: <msg>``), and
+    ``plays`` counts the plays won before it.
 
-    Exhaustive mode counts the (2^|T| + 2^|T'|)^(n-r) plays below a
-    position as won once every cell survives (:func:`_cell_survival`)
-    under the strategy's replies, each read from a one-cell position
-    with the i lowest points chosen, and the invariant's bound
-    2^(n+1-r) >= 2, which implies the loss rule.  This is exact for
-    strategies that answer each palette from its cell's sizes and the
-    round, as :func:`lemma43_strategy` does; a counterexample is the
-    same first losing line with the same play number.  A position with
-    no cell (both sets empty) asks about one empty cell instead, so a
-    strategy that fails by the round alone is still asked.
+    Exhaustive mode is a depth-first search from the root that tries
+    both sides and every subset each round.  It counts the
+    (2^|T| + 2^|T'|)^(n-r) plays below a position as won once every
+    cell survives (:func:`_cell_survival`) under the strategy's replies,
+    each read from a one-cell position with the i lowest points chosen,
+    and the invariant's bound 2^(n+1-r) >= 2, which implies the loss
+    rule.  This is exact for strategies that answer each palette from
+    its cell's sizes and the round, as :func:`lemma43_strategy` does; a
+    counterexample is the same first losing line with the same play
+    number.  A position with no cell (both sets empty) asks about one
+    empty cell instead, so a strategy that fails by the round alone is
+    still asked.  As the search and the cut recurse once per round, it
+    takes at most ``EXHAUSTIVE_MAX_ROUNDS`` rounds; more raise
+    ValueError.
+
+    Sampled mode is a loop over ``samples`` plays of n rounds, with no
+    round limit.  A generator seeded with ``seed`` draws each round's
+    move: the side by ``rng.choice``, then one ``rng.random()`` per
+    point of that side, in point order, each taken below 0.5.  The
+    rounds of the current play are kept in a list, and lines are
+    formatted only for a lost play.  With n = 0 each sample is one won
+    play and draws nothing.
     """
     check_counts(t_size=t_size, t2_size=t2_size, n=n)
+    if mode == "exhaustive" and n > EXHAUSTIVE_MAX_ROUNDS:
+        raise ValueError(
+            f"exhaustive mode supports n <= {EXHAUSTIVE_MAX_ROUNDS}; use sampled"
+        )
     start = SeuratPosition.initial(n, (1 << t_size) - 1, (1 << t2_size) - 1)
     if forall_wins(start) is not None:
         return Verdict("counterexample", ["initial position lost"],
                        "the initial position is lost")
-    grounds = (("T", range(t_size)), ("T2", range(t2_size)))
 
-    if mode == "exhaustive":
-        starts = 1
-
-        def strategy_reply(p, q, r, i, side):
-            cell = ((1 << p) - 1, (1 << q) - 1)
-            pos = SeuratPosition(n, r, {0: cell} if p or q else {})
-            try:
-                reply = strategy(pos, (1 << i) - 1, side)
-            except SeuratStrategyFailure:
-                return ()
-            return ((cell[1 if side == "T" else 0] & reply).bit_count(),)
-
-        survives = _cell_survival(n, strategy_reply, lambda r: 1 << (n + 1 - r))
-
-        def moves():
-            for side, ground in grounds:
-                for mask in range(1 << len(ground)):
-                    yield side, mask
-    elif mode == "sampled":
+    if mode == "sampled":
         if seed is None:
             raise ValueError("sampled mode requires a seed")
         check_counts(1, samples=samples)
-        starts = samples
         rng = random.Random(seed)
-
-        def moves():
-            side, ground = rng.choice(grounds)
-            yield side, sum(1 << g for g in ground if rng.random() < 0.5)
-    else:
+        choice, draw = rng.choice, rng.random
+        grounds = (("T", [1 << g for g in range(t_size)]),
+                   ("T2", [1 << g for g in range(t2_size)]))
+        for play in range(samples):
+            pos, played = start, []
+            for _ in range(n):
+                side, bits = choice(grounds)
+                chosen = 0
+                for bit in bits:
+                    if draw() < 0.5:
+                        chosen |= bit
+                nxt, reply, bad = _play_one_round(pos, side, chosen, strategy)
+                if bad is not None:
+                    return _lost_play(
+                        [_transcript_line(*rnd) for rnd in played] + bad, play)
+                played.append((nxt, side, chosen, reply))
+                pos = nxt
+        return Verdict("verified-sampled", plays=samples)
+    if mode != "exhaustive":
         raise ValueError(f"unknown mode {mode!r}")
+
+    def strategy_reply(p, q, r, i, side):
+        cell = ((1 << p) - 1, (1 << q) - 1)
+        pos = SeuratPosition(n, r, {0: cell} if p or q else {})
+        try:
+            reply = strategy(pos, (1 << i) - 1, side)
+        except SeuratStrategyFailure:
+            return ()
+        return ((cell[1 if side == "T" else 0] & reply).bit_count(),)
+
+    survives = _cell_survival(n, strategy_reply, lambda r: 1 << (n + 1 - r))
+
+    def moves():
+        for side, size in (("T", t_size), ("T2", t2_size)):
+            for mask in range(1 << size):
+                yield side, mask
+
     plays = 0
 
     def dfs(pos: SeuratPosition) -> Optional[list[str]]:
         nonlocal plays
-        if pos.r == pos.n or mode == "exhaustive" and all(
+        if pos.r == pos.n or all(
                 survives(a.bit_count(), b.bit_count(), pos.r)
                 for a, b in pos.cells.values() or [(0, 0)]):
             plays += (2**t_size + 2**t2_size) ** (pos.n - pos.r)
@@ -367,11 +427,7 @@ def verify_seurat_strategy(
             return bad
         return None
 
-    for _ in range(starts):
-        bad = dfs(start)
-        if bad is not None:
-            return Verdict("counterexample", bad,
-                           f"strategy reached a losing position in play {plays + 1}",
-                           plays=plays)
-    return Verdict("verified" if mode == "exhaustive" else "verified-sampled",
-                   plays=plays)
+    bad = dfs(start)
+    if bad is not None:
+        return _lost_play(bad, plays)
+    return Verdict("verified", plays=plays)

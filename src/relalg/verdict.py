@@ -24,8 +24,9 @@ class Verdict:
     move: the line lost, or the line a budget ran out on (a verified
     refutation holds one summary line, and the equivalence game reports
     none for a spent budget).  Only that line is formatted, as a
-    depth-first search unwinds or, in the breadth-first pebble search,
-    from each position's parent link, so no move of a won line is ever
+    depth-first search unwinds, from the list of rounds a sampled
+    colouring play keeps, or, in the breadth-first pebble search, from
+    each position's parent link, so no move of a won line is ever
     formatted.
 
     ``states`` counts the positions a search expanded, or, in the

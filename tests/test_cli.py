@@ -228,6 +228,14 @@ def _exit_code(argv) -> int:
     ("seurat --t 4 --t2 4 -n 1 --mode sampled", USAGE, "err", "--seed"),
     ("seurat --t 2 --t2 3 -n 1", FAIL, "out",
      "counterexample: strategy reached a losing position in play 2"),
+    # sampled plays take any number of rounds; the exact searches refuse
+    # a round count that their recursion cannot reach
+    ("seurat --t 4 --t2 4 -n 2000 --mode sampled --seed 1 --samples 3", OK, "out",
+     "verified (sampled): 3 plays survived"),
+    ("seurat --t 4 --t2 4 -n 2000", USAGE, "err",
+     "exhaustive mode supports n <= 256; use sampled"),
+    ("seurat-solve --t 4 --t2 4 -n 2000", USAGE, "err",
+     "the exact solver supports n <= 256"),
     # negative or empty counts are usage errors, not tracebacks or hangs
     ("seurat --t 4 --t2 4 -n -1", USAGE, "err",
      "argument -n: invalid count -1: must be at least 0"),

@@ -16,10 +16,12 @@ from hypothesis import strategies as hs
 
 import reference as ref
 from relalg.seurat import (
+    EXHAUSTIVE_MAX_ROUNDS,
     SeuratPosition,
     SeuratSession,
     SeuratStrategyFailure,
     _outward,
+    _play_one_round,
     _transcript_line,
     apply_round,
     brute_force_winner,
@@ -217,6 +219,40 @@ def test_verify_sampled_mode():
     res = verify_seurat_strategy(8, 8, 2, mode="sampled", samples=200, seed=7)
     assert res.status == "verified-sampled"
     assert res.plays == 200
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    n=hs.integers(1, 4),
+    t=hs.integers(0, 10),
+    t2=hs.integers(0, 10),
+    rounds=hs.lists(hs.tuples(hs.sampled_from(["T", "T2"]), hs.integers(0, 2**10 - 1),
+                              hs.integers(0, 2**10 - 1)),
+                    min_size=1, max_size=4),
+)
+def test_one_pass_check_matches_both_rules(n, t, t2, rounds):
+    """The round check agrees with forall_wins and dagger_holds on random
+    positions, the last round (bound 2) included, and names the same
+    palette when both rules fail."""
+    pos = SeuratPosition.initial(n, full(t), full(t2))
+    rounds = rounds[:n]
+    for i, (side, pick, answer) in enumerate(rounds):
+        mover, other = (full(t), full(t2)) if side == "T" else (full(t2), full(t))
+        chosen, reply = pick & mover, answer & other
+        nxt = (apply_round(pos, chosen, reply) if side == "T"
+               else apply_round(pos, reply, chosen))
+        if i + 1 < len(rounds):  # earlier rounds only build the position
+            pos = nxt
+            continue
+        got = _play_one_round(pos, side, chosen, lambda *_: reply)
+        pal = forall_wins(nxt)
+        if pal is None and dagger_holds(nxt):
+            assert got == (nxt, reply, None)
+        else:
+            assert got == (None, None, [
+                _transcript_line(nxt, side, chosen, reply),
+                "survival invariant broken" if pal is None
+                else f"forall wins with palette {pal:b}"])
 
 
 def test_verify_unknown_mode():
@@ -481,3 +517,20 @@ def test_many_rounds_hold_few_cells():
     res = verify_seurat_strategy(40, 40, 64, mode="sampled", samples=20, seed=0)
     assert res.status == "verified-sampled"
     assert time.perf_counter() - t0 < 1
+
+
+def test_sampled_plays_take_any_number_of_rounds():
+    # a flat loop: 2000 rounds would overflow a recursion of one frame a round
+    res = verify_seurat_strategy(4, 4, 2000, mode="sampled", samples=3, seed=1)
+    assert (res.status, res.plays) == ("verified-sampled", 3)
+
+
+def test_exact_searches_take_at_most_the_round_limit():
+    n = EXHAUSTIVE_MAX_ROUNDS
+    assert verify_seurat_strategy(4, 4, n) == Verdict("verified", plays=(2**4 + 2**4) ** n)
+    assert brute_force_winner(4, 4, n) == "exists"
+    assert brute_force_winner(4, 5, n) == "forall"
+    with pytest.raises(ValueError, match=f"exhaustive mode supports n <= {n}; use sampled"):
+        verify_seurat_strategy(4, 4, n + 1)
+    with pytest.raises(ValueError, match=f"the exact solver supports n <= {n}"):
+        brute_force_winner(4, 4, n + 1)
