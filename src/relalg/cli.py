@@ -181,7 +181,9 @@ def cmd_pebble(args) -> int:
     res = pebble.verify_pebble_strategy(left, right, strategy,
                                         args.pebbles, args.rounds,
                                         max_states=args.budget)
-    return _finish(res, f"verified (exhaustive) to depth {args.rounds} with "
+    # a verified search holds a transcript line only when it closed
+    depth = "for every number of rounds" if res.transcript else f"to depth {args.rounds}"
+    return _finish(res, f"verified (exhaustive) {depth} with "
                         f"{args.pebbles} pebbles; {res.states} states")
 
 

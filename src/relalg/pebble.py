@@ -13,12 +13,15 @@ currently pebbled; with at most as many pebbles as red indices it never
 runs out of greens.  :func:`verify_pebble_strategy` returns a
 :class:`~relalg.verdict.Verdict`.
 
-The search decides each child by comparing two ints, the moved atom's
+The search asks the strategy for one reply table per position, side
+and pebble (:meth:`Cor33Strategy.replies`), the reply to every atom at
+once, and decides each child by comparing two ints, the moved atom's
 type over the other pebbled atoms and the reply's type over their
 partners (:func:`atom_types`): every expanded position is a partial
 isomorphism, so a child is one iff the facts through the new pair agree.
 Types are memoized per search and side, one int per atom for each
 distinct sorted tuple of at most pebbles - 1 other pebbled atoms.
+``respond``, the reply to one atom, is called only to word a failure.
 """
 
 from __future__ import annotations
@@ -157,27 +160,29 @@ class Cor33Strategy:
             for side, src, dst in (("L", rb_left, rb_right), ("R", rb_right, rb_left))
         }
 
+    def replies(self, pos: PebblePosition, side: str, pebble: int) -> list:
+        """The reply to every atom of ``side``'s structure when the first
+        player moves ``pebble`` there, in one pass: a pebbled atom gets
+        its partner, a non-green its same-named partner, and a fresh
+        green the least green not pebbled on the other side, or None
+        when every green is."""
+        mine, theirs = (0, 1) if side == "L" else (1, 0)
+        # the moved pebble vacates its old pair, so pebble itself is skipped
+        others = [pair for k, pair in pos.items() if k != pebble]
+        taken = {pair[theirs] for pair in others}
+        dst = self.rb["R" if side == "L" else "L"]
+        free = next((g for g in dst.greens if g not in taken), None)
+        out = [free if p is None else p for p in self.partner[side]]
+        for pair in reversed(others):  # the first covering pebble wins
+            out[pair[mine]] = pair[theirs]
+        return out
+
     def respond(self, pos: PebblePosition, side: str, pebble: int, atom: int) -> int:
         """side is where the first player placed ("L" or "R")."""
-        mine, theirs = (0, 1) if side == "L" else (1, 0)
-        # covering: the atom is already pebbled, reuse that pebble's partner
-        for k, pair in pos.items():
-            if k != pebble and pair[mine] == atom:
-                return pair[theirs]
-        partner = self.partner[side][atom]
-        if partner is not None:
-            return partner
-        dst = self.rb["R" if side == "L" else "L"]
-        # the moved pebble vacates its old pair, so pebble itself is skipped
-        taken = {
-            pair[theirs]
-            for k, pair in pos.items()
-            if k != pebble and dst.is_green(pair[theirs])
-        }
-        for g in dst.greens:
-            if g not in taken:
-                return g
-        raise PebbleStrategyFailure("no free green atom")
+        reply = self.replies(pos, side, pebble)[atom]
+        if reply is None:
+            raise PebbleStrategyFailure("no free green atom")
+        return reply
 
 
 def _move_line(i, side, pebble, left, right, atom, reply, status) -> str:
@@ -187,6 +192,13 @@ def _move_line(i, side, pebble, left, right, atom, reply, status) -> str:
         f"round {i} | forall: struct={side} pebble={pebble}"
         f" atom={src.names[atom]} | exists: atom={reply_name} | {status}"
     )
+
+
+def closure_line(last_round: int, classes: int) -> str:
+    """The line of a search that closed: the moves of ``last_round``
+    reached no class beyond the ``classes`` expanded."""
+    return (f"closed at round {last_round}: no move reaches a position class "
+            f"beyond the {classes} expanded, so every number of rounds is won")
 
 
 def verify_pebble_strategy(
@@ -207,9 +219,20 @@ def verify_pebble_strategy(
     replies and children up to renaming pebbles.  A first reach is a
     class's fewest placements, so the classes expanded are exactly those
     reachable in fewer than ``rounds``.  Last-layer children are checked
-    but not kept; an empty layer (closure) ends the search.  A loss gives
-    a shortest losing line, rebuilt from each class's parent and move;
-    more than ``max_states`` positions expanded give "inconclusive".
+    but not kept.  A layer whose children were kept but include no new
+    class closes the search: the moves from the classes expanded reach
+    only themselves, so every number of rounds is won, and the verdict's
+    transcript holds the one :func:`closure_line` naming that round and
+    the class count.  A last layer's children are not keyed, so it
+    never shows closure.  A loss gives a shortest losing line, rebuilt
+    from each class's parent and move; more than ``max_states``
+    positions expanded give "inconclusive".
+
+    ``strategy.replies(pos, side, pebble)`` gives the reply to every
+    atom of the mover's structure, None where the strategy has none,
+    once per (position, side, pebble); only a None or differing types
+    call ``strategy.respond`` again, to word the failure, or
+    :func:`partial_iso`, to word the breach.
 
     Each child is decided by types (:func:`atom_types`).  The root is
     empty and a child is kept only if it passed, so every expanded
@@ -218,8 +241,7 @@ def verify_pebble_strategy(
     pairs keeps a partial isomorphism iff every Id, Cv, Cs and = tuple
     through a agrees with its image, that is iff a's type over their
     left atoms equals b's type over their right atoms, both in sorted
-    pair order.  Only differing types call :func:`partial_iso`, which
-    words the breach.  The types of every atom of a side are memoized
+    pair order.  The types of every atom of a side are memoized
     for the call on those sorted atoms: at most (distinct sorted tuples
     of at most pebbles - 1 atoms) x atoms ints per side.
     """
@@ -246,43 +268,50 @@ def verify_pebble_strategy(
 
     states, depth, layer = 0, 0, [((), {})]
     while layer and depth < rounds:  # an empty layer: the classes are closed
-        grown = []
+        keep, grown = depth < rounds - 1, []
         for key, pos in layer:
             states += 1
             if states > max_states:
                 return Verdict("inconclusive", line_to(key), "state budget",
                                states=states)
-            for side, struct in (("L", left), ("R", right)):
+            rest = []  # per pebble: the other pairs, sorted, and their types
+            for pebble in range(pebbles):
+                others = sorted(p for k, p in pos.items() if k != pebble)
+                rest.append((others,
+                             types_over("L", left, tuple(p[0] for p in others)),
+                             types_over("R", right, tuple(p[1] for p in others))))
+            for side in "LR":
                 mine = 0 if side == "L" else 1
-                for pebble in range(pebbles):
-                    old, child = pos.get(pebble), dict(pos)
-                    others = sorted(p for k, p in pos.items() if k != pebble)
-                    lt = types_over("L", left, tuple(p[0] for p in others))
-                    rt = types_over("R", right, tuple(p[1] for p in others))
-                    for atom in range(struct.size):
-                        if old is not None and old[mine] == atom:
-                            continue  # no-op re-placement
-                        try:
-                            reply = strategy.respond(pos, side, pebble, atom)
-                        except PebbleStrategyFailure as exc:
-                            reply, status = None, f"strategy failed: {exc}"
-                        else:
-                            pair = (atom, reply) if side == "L" else (reply, atom)
-                            child[pebble] = pair
-                            status = "ok"
-                            if lt[pair[0]] != rt[pair[1]]:
-                                ok, reason = partial_iso(left, right, child)
+                for pebble, (others, lt, rt) in enumerate(rest):
+                    mt, tt = (lt, rt) if side == "L" else (rt, lt)
+                    old = pos.get(pebble)
+                    skip = None if old is None else old[mine]  # no-op re-placement
+                    for atom, reply in enumerate(strategy.replies(pos, side, pebble)):
+                        if atom == skip:
+                            continue
+                        if reply is None or mt[atom] != tt[reply]:
+                            # respond words the failure, partial_iso the breach
+                            try:
+                                reply = strategy.respond(pos, side, pebble, atom)
+                            except PebbleStrategyFailure as exc:
+                                reply, status = None, f"strategy failed: {exc}"
+                            else:
+                                pair = (atom, reply) if side == "L" else (reply, atom)
+                                ok, reason = partial_iso(left, right, {**pos, pebble: pair})
                                 status = "ok" if ok else f"breach: {reason}"
-                        if status != "ok":
-                            return Verdict(
-                                "counterexample",
-                                line_to(key, side, pebble, atom, reply, status),
-                                "first player forces a non-isomorphic position",
-                                states=states)
-                        if depth < rounds - 1:
-                            child_key = tuple(sorted(child.values()))
+                            if status != "ok":
+                                return Verdict(
+                                    "counterexample",
+                                    line_to(key, side, pebble, atom, reply, status),
+                                    "first player forces a non-isomorphic position",
+                                    states=states)
+                        if keep:
+                            pair = (atom, reply) if side == "L" else (reply, atom)
+                            child_key = tuple(sorted([*others, pair]))
                             if child_key not in came:
                                 came[child_key] = (key, side, pebble, atom, reply)
-                                grown.append((child_key, dict(child)))
+                                grown.append((child_key, {**pos, pebble: pair}))
         layer, depth = grown, depth + 1
+    if depth < rounds:  # a keyed layer reached no new class
+        return Verdict("verified", [closure_line(depth - 1, states)], states=states)
     return Verdict("verified", states=states)

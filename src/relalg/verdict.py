@@ -22,8 +22,9 @@ class Verdict:
 
     ``transcript`` is the one reported line of play, a text line per
     move: the line lost, or the line a budget ran out on (a verified
-    refutation holds one summary line, and the equivalence game reports
-    none for a spent budget).  Only that line is formatted, as a
+    refutation holds one summary line, a pebble search that closed
+    holds its closure line, and the equivalence game reports none for a
+    spent budget).  Only that line is formatted, as a
     depth-first search unwinds, from the list of rounds a sampled
     colouring play keeps, or, in the breadth-first pebble search, from
     each position's parent link, so no move of a won line is ever

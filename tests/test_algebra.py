@@ -163,6 +163,28 @@ def test_check_axioms_matches_triple_loop():
     assert len(cases) == 104
     assert {"associativity", "Peircean", "pass"} <= kinds, kinds
 
+    # both sides of the gate on the converse-of-composition loop: conv
+    # not an involution, and a closed table that breaks identity
+    # coherence only; then a 17-atom base with repeated cell masks
+    b22 = build_rainbow(2, 2)
+    g0, g1, w, y = (b22.atom(x) for x in ("g0", "g1", "w", "y"))
+    conv = list(b22.conv)
+    conv[g0], conv[g1], conv[w] = g1, w, g0
+    not_involutive = replace(b22, conv=tuple(conv))
+    coherence_only = with_consistent(
+        b22, b22.consistent | set(peircean_transforms((0, w, y), b22.conv)))
+    assert {p.split(":")[0] for p in coherence_only.validate()} == {
+        "identity coherence"}
+    b43 = build_rainbow(4, 3)
+    assert len({m for row in b43.comp for m in row}) < b43.n_atoms ** 2
+    extra = [not_involutive, coherence_only, *orbit_mutants(b43, rng, 6)]
+    kinds = set()
+    for st_ in extra:
+        problems = check_axioms(st_)
+        assert problems == triple_loop_check_axioms(st_)
+        kinds.update({p.split()[0] for p in problems} or {"pass"})
+    assert {"involution:", "identity", "converse", "associativity", "pass"} <= kinds, kinds
+
 
 def test_check_axioms_fast_on_61_atoms():
     st_ = build_rainbow(8, 7)

@@ -192,6 +192,14 @@ def test_pebble_verified_and_losing(ras22, ras32, capsys):
     assert "counterexample: first player forces a non-isomorphic position" in out
 
 
+def test_pebble_closure_verifies_every_number_of_rounds(ras22, ras32, capsys):
+    assert main(["pebble", ras22, ras32, "--pebbles", "2", "--rounds", "50"]) == OK
+    out = capsys.readouterr().out
+    assert "closed at round 3" in out
+    assert ("verified (exhaustive) for every number of rounds with 2 pebbles; "
+            "109 states") in out
+
+
 def _exit_code(argv) -> int:
     try:
         return main(argv)

@@ -12,6 +12,7 @@ from relalg.pebble import (
     PebbleStrategyFailure,
     _move_line,
     atom_types,
+    closure_line,
     partial_iso,
     verify_pebble_strategy,
 )
@@ -155,6 +156,9 @@ class MirrorPebbleStrategy:
     def respond(self, pos, side: str, pebble: int, atom: int) -> int:
         return atom
 
+    def replies(self, pos, side: str, pebble: int) -> list:
+        return list(range(L22.size))
+
 
 def test_mirror_strategy_verified_on_self():
     res = verify_pebble_strategy(L22, L22, MirrorPebbleStrategy(), pebbles=2, rounds=2)
@@ -201,6 +205,66 @@ def test_cor33_runs_out_with_more_pebbles_than_greens():
         strat.respond(pos, "L", 2, RB32.green(2))
 
 
+def _expanded_classes(left, right, strategy, pebbles, rounds) -> list:
+    """Every position the engine expands, recorded through the
+    strategy's reply table."""
+    seen: list = []
+
+    class Recording:
+        def replies(self, pos, side, pebble):
+            if not seen or seen[-1] is not pos:
+                seen.append(pos)
+            return strategy.replies(pos, side, pebble)
+
+        respond = strategy.respond
+
+    verify_pebble_strategy(left, right, Recording(), pebbles, rounds)
+    return seen
+
+
+def _scanned_reply(strategy, pos, side, pebble, atom):
+    """The green-matching reply to one atom read literally: a covering
+    pebble's partner, else the same-named partner, else the least green
+    of the other side not under another pebble, else None."""
+    mine, theirs = (0, 1) if side == "L" else (1, 0)
+    for k, pair in pos.items():
+        if k != pebble and pair[mine] == atom:
+            return pair[theirs]
+    partner = strategy.partner[side][atom]
+    if partner is not None:
+        return partner
+    dst = strategy.rb["R" if side == "L" else "L"]
+    taken = {pair[theirs] for k, pair in pos.items() if k != pebble}
+    return next((g for g in dst.greens if g not in taken), None)
+
+
+# (s, t, rounds, classes): with 3 pebbles B(2,2)/B(3,2) is lost at
+# round 2, where the right side runs out of greens; B(3,3)/B(4,3)
+# closes at round 5, and none of its classes runs out
+@pytest.mark.parametrize("s, t, rounds, classes", [(2, 2, 3, 57), (3, 3, 7, 2552)])
+def test_reply_table_matches_respond(s, t, rounds, classes):
+    rb_l, rb_r = Rainbow.make(s, t), Rainbow.make(s + 1, t)
+    left = AtomRelStructure.from_atom_structure(rb_l.structure)
+    right = AtomRelStructure.from_atom_structure(rb_r.structure)
+    strat = Cor33Strategy(rb_l, rb_r)
+    expanded = _expanded_classes(left, right, strat, 3, rounds)
+    failures = 0
+    for pos in expanded:
+        for side, struct in (("L", left), ("R", right)):
+            for pebble in range(3):
+                table = strat.replies(pos, side, pebble)
+                assert len(table) == struct.size
+                for atom, reply in enumerate(table):
+                    assert reply == _scanned_reply(strat, pos, side, pebble, atom)
+                    if reply is None:
+                        failures += 1
+                        with pytest.raises(PebbleStrategyFailure):
+                            strat.respond(pos, side, pebble, atom)
+                    else:
+                        assert strat.respond(pos, side, pebble, atom) == reply
+    assert len(expanded) == classes and (failures > 0) == (s == 2)
+
+
 def test_two_pebbles_verified():
     res = verify_pebble_strategy(
         L22, L32, Cor33Strategy(RB22, RB32), pebbles=2, rounds=4
@@ -234,6 +298,18 @@ def test_two_pebbles_reach_their_closure_within_five_rounds():
             L22, L32, Cor33Strategy(RB22, RB32), pebbles=2, rounds=rounds
         )
         assert (res.status, res.states) == ("verified", 109)
+
+
+def test_closure_is_reported_only_from_a_keyed_layer():
+    strat = Cor33Strategy(RB22, RB32)
+    for rounds in (5, 50):  # round 3's children are keyed from rounds 5 on
+        closed = verify_pebble_strategy(L22, L32, strat, pebbles=2, rounds=rounds)
+        assert (closed.status, closed.states) == ("verified", 109)
+        assert closed.transcript == [closure_line(3, 109)]
+    # round 3 is checked at rounds 4 but its children are not keyed, so
+    # nothing shows that it reaches no new class
+    short = verify_pebble_strategy(L22, L32, strat, pebbles=2, rounds=4)
+    assert (short.status, short.states, short.transcript) == ("verified", 109, [])
 
 
 def test_budget_stops_at_the_position_it_would_expand():
